@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import ValidationError
+from .kernel import ValidationError, require_finite
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,9 @@ class BiasModel:
     theta: float
     phi: float
     delta: float
+
+    def __post_init__(self) -> None:
+        require_finite("bias model angles", self.theta, self.phi, self.delta)
 
 
 @dataclass(frozen=True)

@@ -15,17 +15,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernel import (
+# OUTCOMES is re-exported. projector and tensor are no longer called here, but
+# perfbench/tracing.py looks them up in this module by name.
+from .kernel import (  # noqa: F401
+    OUTCOME_SIGNS,
+    OUTCOMES,
     TOL,
     Direction,
     TwoQubitState,
     ValidationError,
     bell_phi_plus,
     projector,
+    projectors,
+    require_finite,
     tensor,
 )
 
-OUTCOMES = (+1, -1)  # array index 0 <-> +1, index 1 <-> -1
+_AB_SIGNS = np.outer(OUTCOME_SIGNS, OUTCOME_SIGNS)  # a * b, indexed [a][b]
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,7 @@ class Behavior:
         p = np.asarray(self.probabilities, dtype=float)
         if p.shape != (2, 2, 2, 2):
             raise ValidationError(f"probabilities must have shape (2,2,2,2), got {p.shape}")
+        require_finite("probabilities", p)
         if np.min(p) < -TOL.eq:
             idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(p)), p.shape))
             raise ValidationError(f"negative probability at [x,y,a,b]={idx}: {p[idx]}")
@@ -84,37 +91,22 @@ def behavior_from_quantum(
     """Projective-measurement behavior p(ab|xy) = Tr[(P_a^x (x) P_b^y) rho]."""
     if len(x_dirs) != 2 or len(y_dirs) != 2:
         raise ValidationError("exactly two measurement directions per party required")
-    p = np.empty((2, 2, 2, 2))
-    for ix, nx in enumerate(x_dirs):
-        for iy, ny in enumerate(y_dirs):
-            for ia, a in enumerate(OUTCOMES):
-                pa = projector(nx, a)
-                for ib, b in enumerate(OUTCOMES):
-                    pb = projector(ny, b)
-                    val = np.trace(tensor(pa, pb) @ state.density)
-                    p[ix, iy, ia, ib] = val.real
-    return Behavior(np.clip(p, 0.0, None))
+    # rho[(i, k), (j, l)] with Alice's indices i, j first.
+    rho = state.density.reshape(2, 2, 2, 2)
+    p = np.einsum("xaij,ybkl,jlik->xyab", projectors(x_dirs), projectors(y_dirs), rho)
+    return Behavior(np.clip(p.real, 0.0, None))
 
 
 def correlators(b: Behavior) -> CorrelatorVector:
     """Two-point correlators <xy> = sum_ab a*b*p(ab|xy)."""
-    signs = np.array([+1.0, -1.0])
-    weights = np.outer(signs, signs)
-    e = np.einsum("xyab,ab->xy", b.probabilities, weights)
+    e = np.einsum("xyab,ab->xy", b.probabilities, _AB_SIGNS)
     return CorrelatorVector(e[0, 0], e[0, 1], e[1, 0], e[1, 1])
 
 
 def pr_box() -> Behavior:
     """The PR box: perfectly correlated except anti-correlated at x=y=2."""
-    p = np.zeros((2, 2, 2, 2))
-    for ix in range(2):
-        for iy in range(2):
-            target = -1 if (ix, iy) == (1, 1) else +1
-            for ia, a in enumerate(OUTCOMES):
-                for ib, b in enumerate(OUTCOMES):
-                    if a * b == target:
-                        p[ix, iy, ia, ib] = 0.5
-    return Behavior(p)
+    target = np.array([[+1.0, +1.0], [+1.0, -1.0]])  # required a*b per (x, y)
+    return Behavior((1.0 + np.einsum("xy,ab->xyab", target, _AB_SIGNS)) / 4.0)
 
 
 def tilted_behavior(delta: float) -> Behavior:

@@ -141,7 +141,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_adversary(args: argparse.Namespace) -> int:
-    report = constraint_report(BiasModel(args.theta, args.phi, args.delta))
+    try:
+        report = constraint_report(BiasModel(args.theta, args.phi, args.delta))
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     print(report.to_json())
     return EXIT_OK
 

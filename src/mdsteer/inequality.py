@@ -19,6 +19,23 @@ def _check_p(p: float) -> None:
         raise ValidationError(f"measurement dependence parameter must be in [0, 0.5], got {p}")
 
 
+def operator_value(e11, e12, e21, e22, p: float, beta: float = math.pi / 4):
+    """md_operator for Bob's measurement-overlap angle beta, elementwise, unvalidated.
+
+    Each alpha = A^2 + B^2 gains a -2 A B cos(2 beta) cross-term that vanishes
+    at beta = pi/4; it is summed as (A - B cos 2beta)^2 + (B sin 2beta)^2 so
+    that rounding never makes it negative. Takes floats or numpy arrays.
+    """
+    c2b, s2b = math.cos(2.0 * beta), math.sin(2.0 * beta)
+    q = 1.0 - p
+    x1y1, x1y2, x2y1, x2y2 = p * e11, p * e12, q * e21, q * e22
+    a1, b1 = x1y1 + x2y1, x1y2 + x2y2
+    a2, b2 = x1y1 - x2y1, x1y2 - x2y2
+    alpha1 = (a1 - c2b * b1) ** 2 + (s2b * b1) ** 2
+    alpha2 = (a2 - c2b * b2) ** 2 + (s2b * b2) ** 2
+    return alpha1**0.5 + alpha2**0.5
+
+
 def md_operator(c: CorrelatorVector, p: float) -> float:
     """sqrt(alpha1) + sqrt(alpha2) for the given correlators.
 
@@ -26,10 +43,7 @@ def md_operator(c: CorrelatorVector, p: float) -> float:
     alpha2 = (p<x1y1> - (1-p)<x2y1>)^2 + (p<x1y2> - (1-p)<x2y2>)^2
     """
     _check_p(p)
-    q = 1.0 - p
-    alpha1 = (p * c.e11 + q * c.e21) ** 2 + (p * c.e12 + q * c.e22) ** 2
-    alpha2 = (p * c.e11 - q * c.e21) ** 2 + (p * c.e12 - q * c.e22) ** 2
-    return math.sqrt(alpha1) + math.sqrt(alpha2)
+    return operator_value(c.e11, c.e12, c.e21, c.e22, p)
 
 
 def local_bound(p: float) -> float:

@@ -4,7 +4,8 @@ Conventions used throughout the package:
 
 - Basis ordering is |00>, |01>, |10>, |11> with Alice's qubit first, so
   tracing out Alice acts on the leading tensor factor.
-- Outcomes are labelled +1 / -1 and stored at array index 0 / 1.
+- Outcomes are labelled +1 / -1 and stored at array index 0 / 1
+  (``OUTCOMES``); ``projectors`` builds every projector stack in that order.
 - All matrices are plain complex ``numpy`` arrays; this module only adds
   validation on top.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +51,22 @@ class Tolerances:
 
 TOL = Tolerances()
 
+OUTCOMES = (+1, -1)  # array index 0 <-> +1, index 1 <-> -1
+OUTCOME_SIGNS = np.array(OUTCOMES, dtype=float)
+
+
+def require_finite(what: str, *values: float | np.ndarray) -> None:
+    """Reject NaN and infinities, scalar or array; range checks alone pass NaN."""
+    for v in values:
+        if isinstance(v, np.ndarray):
+            finite = np.isfinite(v)
+            if not finite.all():
+                idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(finite)), v.shape))
+                raise ValidationError(f"{what} must be finite, got {v[idx]} at index {idx}")
+        elif not math.isfinite(v):
+            raise ValidationError(f"{what} must be finite, got {v}")
+
+
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -64,6 +82,7 @@ class Direction:
     nz: float
 
     def __post_init__(self) -> None:
+        require_finite("direction", self.nx, self.ny, self.nz)
         norm2 = self.nx**2 + self.ny**2 + self.nz**2
         if abs(norm2 - 1.0) > 1e-12:
             raise ValidationError(
@@ -105,9 +124,15 @@ def pauli_observable(n: Direction) -> np.ndarray:
 
 def projector(n: Direction, outcome: int) -> np.ndarray:
     """Projector onto the ``outcome`` (+1 or -1) eigenspace of n . sigma."""
-    if outcome not in (+1, -1):
+    if outcome not in OUTCOMES:
         raise ValidationError(f"outcome must be +1 or -1, got {outcome}")
-    return (I2 + outcome * pauli_observable(n)) / 2.0
+    return projectors([n])[0, OUTCOMES.index(outcome)]
+
+
+def projectors(dirs: Sequence[Direction]) -> np.ndarray:
+    """Stack P[s, k] of projectors onto the OUTCOMES[k] eigenspace of dirs[s] . sigma."""
+    obs = np.array([pauli_observable(n) for n in dirs])
+    return (I2 + OUTCOME_SIGNS[:, None, None] * obs[:, None]) / 2.0
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

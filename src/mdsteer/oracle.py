@@ -23,12 +23,11 @@ from typing import List, Tuple
 import numpy as np
 
 from .behaviors import CorrelatorVector
-from .inequality import local_bound
+from .inequality import local_bound, operator_value
 from .kernel import ValidationError
 
-# Sign of Alice's response for setting x1 / x2 per response type chi.
-_SIGN_X1 = {1: +1.0, 2: -1.0, 3: +1.0, 4: -1.0}
-_SIGN_X2 = {1: +1.0, 2: -1.0, 3: -1.0, 4: +1.0}
+# Sign of Alice's response, indexed [setting][chi - 1]: rows x1, x2; columns chi = 1..4.
+_CHI_SIGNS = np.array([[+1.0, -1.0, +1.0, -1.0], [+1.0, -1.0, -1.0, +1.0]])
 
 XI_GRID_POINTS = 720
 
@@ -69,16 +68,7 @@ class StrategyMixture:
 
 def extremal_correlators(s: ExtremalStrategy) -> CorrelatorVector:
     """Reweighted correlator vector of a single extremal strategy."""
-    c_plus = math.cos(s.xi + s.beta)
-    c_minus = math.cos(s.xi - s.beta)
-    sa = _SIGN_X1[s.chi]
-    sb = _SIGN_X2[s.chi]
-    return CorrelatorVector(
-        e11=sa * 2.0 * s.p1 * c_plus,
-        e12=sa * 2.0 * s.p1 * c_minus,
-        e21=sb * 2.0 * s.p2 * c_plus,
-        e22=sb * 2.0 * s.p2 * c_minus,
-    )
+    return CorrelatorVector(*_component_correlators(s.chi, s.xi, s.p1, s.p2, s.beta))
 
 
 def mixture_correlators(m: StrategyMixture) -> CorrelatorVector:
@@ -106,14 +96,7 @@ def general_beta_operator(c: CorrelatorVector, p1: float, p2: float, beta: float
         raise ValidationError(f"p1 + p2 must equal 1, got {p1 + p2}")
     if not 0.0 < beta < math.pi / 2:
         raise ValidationError(f"beta must be in (0, pi/2), got {beta}")
-    c2b = math.cos(2.0 * beta)
-    a_plus = p2 * c.e11 + p1 * c.e21
-    b_plus = p2 * c.e12 + p1 * c.e22
-    a_minus = p2 * c.e11 - p1 * c.e21
-    b_minus = p2 * c.e12 - p1 * c.e22
-    alpha1 = a_plus**2 + b_plus**2 - 2.0 * a_plus * b_plus * c2b
-    alpha2 = a_minus**2 + b_minus**2 - 2.0 * a_minus * b_minus * c2b
-    return math.sqrt(max(alpha1, 0.0)) + math.sqrt(max(alpha2, 0.0))
+    return operator_value(c.e11, c.e12, c.e21, c.e22, p2, beta)
 
 
 @dataclass(frozen=True)
@@ -139,15 +122,12 @@ class SweepReport:
 
 
 def _component_correlators(
-    chi: np.ndarray, xi: np.ndarray, p: float
+    chi: np.ndarray, xi: np.ndarray, p1: float, p2: float, beta: float = math.pi / 4
 ) -> np.ndarray:
-    """Vectorized correlators at beta = pi/4; returns shape chi.shape + (4,)."""
-    beta = math.pi / 4
+    """Reweighted correlators (e11, e12, e21, e22) of extremal strategies; shape (4,) + chi.shape."""
     c_plus = np.cos(xi + beta)
     c_minus = np.cos(xi - beta)
-    sa = np.where((chi == 1) | (chi == 3), 1.0, -1.0)
-    sb = np.where((chi == 1) | (chi == 4), 1.0, -1.0)
-    p1, p2 = 1.0 - p, p
+    sa, sb = _CHI_SIGNS[:, chi - 1]
     return np.stack(
         [
             sa * 2.0 * p1 * c_plus,
@@ -155,16 +135,8 @@ def _component_correlators(
             sb * 2.0 * p2 * c_plus,
             sb * 2.0 * p2 * c_minus,
         ],
-        axis=-1,
+        axis=0,
     )
-
-
-def _operator_values(e: np.ndarray, p: float) -> np.ndarray:
-    """Vectorized md_operator over an (..., 4) array of correlator vectors."""
-    q = 1.0 - p
-    a1 = (p * e[..., 0] + q * e[..., 2]) ** 2 + (p * e[..., 1] + q * e[..., 3]) ** 2
-    a2 = (p * e[..., 0] - q * e[..., 2]) ** 2 + (p * e[..., 1] - q * e[..., 3]) ** 2
-    return np.sqrt(a1) + np.sqrt(a2)
 
 
 def bound_sweep(p: float, samples: int, seed: int, components: int = 4) -> SweepReport:
@@ -193,13 +165,15 @@ def bound_sweep(p: float, samples: int, seed: int, components: int = 4) -> Sweep
     )
     weights = rng.dirichlet(np.ones(components), size=samples)
 
-    mixed = np.einsum("sc,sce->se", weights, _component_correlators(chi, xi, p))
-    max_mixture = float(np.max(_operator_values(mixed, p)))
+    p1, p2 = 1.0 - p, p
+    mixed = np.einsum("sc,esc->es", weights, _component_correlators(chi, xi, p1, p2))
+    max_mixture = float(np.max(operator_value(*mixed, p)))
 
     # Pure grid strategies over every response type.
     grid_chi = np.repeat(np.arange(1, 5), XI_GRID_POINTS)
     grid_xi = np.tile(xi_grid, 4)
-    max_grid = float(np.max(_operator_values(_component_correlators(grid_chi, grid_xi, p), p)))
+    grid = _component_correlators(grid_chi, grid_xi, p1, p2)
+    max_grid = float(np.max(operator_value(*grid, p)))
 
     max_operator = max(max_mixture, max_grid)
     bound = local_bound(p)

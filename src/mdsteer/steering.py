@@ -15,8 +15,12 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .behaviors import OUTCOMES, Behavior
-from .kernel import (
+from .behaviors import Behavior
+
+# projector, tensor and partial_trace_alice are no longer called here, but
+# perfbench/tracing.py looks them up in this module by name.
+from .kernel import (  # noqa: F401
+    OUTCOMES,
     TOL,
     Direction,
     TwoQubitState,
@@ -24,6 +28,7 @@ from .kernel import (
     is_psd,
     partial_trace_alice,
     projector,
+    projectors,
     tensor,
 )
 
@@ -173,46 +178,42 @@ class WeightParams:
             raise ValidationError("the two hidden-variable distributions must share an alphabet")
 
 
+def _assemblage(sigma: np.ndarray) -> Assemblage:
+    """Assemblage from a stack sigma[x][a] of 2x2 matrices in array order."""
+    return Assemblage(
+        {(a, x): sigma[ix, ia] for ix, x in enumerate(SETTINGS) for ia, a in enumerate(OUTCOMES)}
+    )
+
+
+def _stack(asm: Assemblage) -> np.ndarray:
+    """The elements of an assemblage as a stack sigma[x][a] in array order."""
+    return np.array([[asm.elements[(a, x)] for a in OUTCOMES] for x in SETTINGS])
+
+
 def assemblage_from_state(state: TwoQubitState, alice_dirs: Sequence[Direction]) -> Assemblage:
     """sigma_{a|x} = Tr_A[(P_a^x (x) I) rho] for projective measurements."""
     if len(alice_dirs) != 2:
         raise ValidationError("exactly two Alice directions required")
-    elements = {}
-    for x, n in zip(SETTINGS, alice_dirs):
-        for a in OUTCOMES:
-            op = tensor(projector(n, a), np.eye(2))
-            elements[(a, x)] = partial_trace_alice(op @ state.density)
-    return Assemblage(elements)
+    # rho[(i, k), (j, l)] with Alice's indices i, j first.
+    rho = state.density.reshape(2, 2, 2, 2)
+    return _assemblage(np.einsum("xaij,jkil->xakl", projectors(alice_dirs), rho))
 
 
 def assemblage_from_mdlhs(model: MdLhsModel) -> Assemblage:
     """sigma_{a|x} = sum_lambda p(lambda|x) p(a|x,lambda) rho_{lambda|x}."""
-    elements = {}
-    for ix, x in enumerate(SETTINGS):
-        for ia, a in enumerate(OUTCOMES):
-            sigma = np.zeros((2, 2), dtype=complex)
-            for lam in range(model.n_lambdas):
-                sigma += (
-                    model.p_lambda_given_x[ix, lam]
-                    * model.p_a_given_x_lambda[ix, lam, ia]
-                    * model.states[lam, ix]
-                )
-            elements[(a, x)] = sigma
-    return Assemblage(elements)
+    return _assemblage(
+        np.einsum(
+            "xn,xna,nxij->xaij", model.p_lambda_given_x, model.p_a_given_x_lambda, model.states
+        )
+    )
 
 
 def behavior_from_assemblage(asm: Assemblage, bob_dirs: Sequence[Direction]) -> Behavior:
     """p(ab|xy) = Tr[P_b^y sigma_{a|x}] for Bob's projective measurements."""
     if len(bob_dirs) != 2:
         raise ValidationError("exactly two Bob directions required")
-    p = np.empty((2, 2, 2, 2))
-    for ix, x in enumerate(SETTINGS):
-        for iy, m in enumerate(bob_dirs):
-            for ia, a in enumerate(OUTCOMES):
-                for ib, b in enumerate(OUTCOMES):
-                    val = np.trace(projector(m, b) @ asm.elements[(a, x)])
-                    p[ix, iy, ia, ib] = val.real
-    return Behavior(np.clip(p, 0.0, None))
+    p = np.einsum("ybkl,xalk->xyab", projectors(bob_dirs), _stack(asm))
+    return Behavior(np.clip(p.real, 0.0, None))
 
 
 def mdlhv_decomposition_check(model: MdLhsModel, bob_dirs: Sequence[Direction]) -> float:
@@ -223,20 +224,13 @@ def mdlhv_decomposition_check(model: MdLhsModel, bob_dirs: Sequence[Direction]) 
     the two agree by linearity of the trace.
     """
     via_assemblage = behavior_from_assemblage(assemblage_from_mdlhs(model), bob_dirs)
-    direct = np.zeros((2, 2, 2, 2))
-    for ix in range(2):
-        for iy, m in enumerate(bob_dirs):
-            for ia in range(2):
-                for ib, b in enumerate(OUTCOMES):
-                    proj = projector(m, b)
-                    total = 0.0
-                    for lam in range(model.n_lambdas):
-                        total += (
-                            model.p_lambda_given_x[ix, lam]
-                            * model.p_a_given_x_lambda[ix, lam, ia]
-                            * np.trace(proj @ model.states[lam, ix]).real
-                        )
-                    direct[ix, iy, ia, ib] = total
+    direct = np.einsum(
+        "xn,xna,ybkl,nxlk->xyab",
+        model.p_lambda_given_x,
+        model.p_a_given_x_lambda,
+        projectors(bob_dirs),
+        model.states,
+    ).real
     return float(np.max(np.abs(via_assemblage.probabilities - direct)))
 
 
@@ -309,22 +303,3 @@ def weight_bound(
         p_plus_x2 * (eta[(+1, 2)] + eta[(-1, 2)])
         - p_plus_x1 * (eta[(+1, 1)] + eta[(-1, 1)])
     ) / eta[(-1, 1)]
-
-
-def random_mdlhs_model(seed: int, n_lambdas: int = 4) -> MdLhsModel:
-    """Deterministic random model for property testing; qubit states drawn
-    from random pure-state mixtures so every rho_{lambda|x} is a valid density."""
-    if not 1 <= n_lambdas <= 16:
-        raise ValidationError(f"n_lambdas must be in [1, 16], got {n_lambdas}")
-    rng = np.random.default_rng(seed)
-    plx = rng.dirichlet(np.ones(n_lambdas), size=2)
-    pax_plus = rng.uniform(size=(2, n_lambdas))
-    pax = np.stack([pax_plus, 1.0 - pax_plus], axis=2)
-    states = np.empty((n_lambdas, 2, 2, 2), dtype=complex)
-    for lam in range(n_lambdas):
-        for ix in range(2):
-            vec = rng.normal(size=2) + 1j * rng.normal(size=2)
-            vec /= np.linalg.norm(vec)
-            mix = rng.uniform()
-            states[lam, ix] = mix * np.outer(vec, vec.conj()) + (1 - mix) * np.eye(2) / 2
-    return MdLhsModel(plx, pax, states)

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 
+from conftest import random_mdlhs_model
+
 from mdsteer.adversary import BiasModel, marginal_setting_prob
 from mdsteer.behaviors import CorrelatorVector, chsh_value, correlators, tilted_behavior
 from mdsteer.inequality import (
@@ -24,7 +26,6 @@ from mdsteer.steering import (
     SETTINGS,
     assemblage_from_mdlhs,
     mdlhv_decomposition_check,
-    random_mdlhs_model,
     weight_bound,
     weight_limit_values,
 )

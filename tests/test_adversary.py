@@ -55,6 +55,14 @@ class TestMdBoundCheck:
             md_bound_check(np.full((2, 2), 0.5), 0.6)
 
 
+class TestBiasModel:
+    @pytest.mark.parametrize("field", ["theta", "phi", "delta"])
+    def test_non_finite_rejected(self, field):
+        angles = {"theta": 0.3, "phi": 2.051, "delta": 2.447, field: math.nan}
+        with pytest.raises(ValidationError, match="finite"):
+            BiasModel(**angles)
+
+
 class TestConstraintReport:
     def test_independent_model(self):
         report = constraint_report(BiasModel(math.pi / 4, math.pi / 4, 1.0))

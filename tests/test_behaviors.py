@@ -45,6 +45,11 @@ class TestBehaviorValidation:
         with pytest.raises(ValidationError):
             Behavior(np.full((2, 2, 2, 2), 0.3))
 
+    def test_all_nan_rejected(self):
+        # every comparison with NaN is false, so the range checks alone pass it
+        with pytest.raises(ValidationError, match="finite"):
+            Behavior(np.full((2, 2, 2, 2), np.nan))
+
     def test_json_round_trip_exact(self):
         b = tilted_behavior(0.37)
         again = Behavior.from_json(b.to_json())

@@ -49,6 +49,16 @@ class TestEval:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["eval", "--in", str(tmp_path / "nope.json"), "--p", "0.5"]) == 1
 
+    def test_all_nan_behavior_exits_1(self, tmp_path, capsys):
+        # json.loads accepts NaN; the file must still be rejected, not echoed as NaN
+        (tmp_path / "nan.json").write_text(
+            json.dumps({"probabilities": np.full((2, 2, 2, 2), np.nan).tolist()})
+        )
+        assert main(["eval", "--in", str(tmp_path / "nan.json"), "--p", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_p_out_of_range_exits_2(self, tmp_path):
         path = write_behavior(tmp_path / "pr.json", pr_box())
         assert main(["eval", "--in", path, "--p", "0.9"]) == 2
@@ -145,6 +155,11 @@ class TestAdversary:
         main(["adversary", "--theta", "0.7", "--phi", "2.179", "--delta", "0.96"])
         record = json.loads(capsys.readouterr().out)
         assert record["pX1"] == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_angle_exits_2(self, value, capsys):
+        assert main(["adversary", "--theta", value, "--phi", "2.051", "--delta", "2.447"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_equal_angles_independent(self, capsys):
         main(["adversary", "--theta", "0.8", "--phi", "0.8", "--delta", "1.0"])

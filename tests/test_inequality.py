@@ -8,6 +8,7 @@ from mdsteer.inequality import (
     binary_entropy,
     local_bound,
     md_operator,
+    operator_value,
     pr_closed_form,
     randomness_rate,
     tilted_bell_value,
@@ -36,6 +37,28 @@ class TestMdOperator:
             md_operator(PR, 0.6)
         with pytest.raises(ValidationError):
             md_operator(PR, -0.1)
+
+
+class TestOperatorValue:
+    def test_scalar_path_returns_float(self):
+        assert type(operator_value(1.0, 1.0, 1.0, -1.0, 0.5)) is float
+
+    def test_array_path_matches_scalar_path(self):
+        rng = np.random.default_rng(3)
+        e = rng.uniform(-2.0, 2.0, size=(50, 4))
+        for beta in (math.pi / 4, 0.3, 1.2):
+            got = operator_value(*e.T, 0.3, beta)
+            assert got.shape == (50,)
+            want = [operator_value(*row.tolist(), 0.3, beta) for row in e]
+            np.testing.assert_array_equal(got, want)
+
+    def test_default_beta_is_md_operator(self):
+        assert operator_value(PR.e11, PR.e12, PR.e21, PR.e22, 0.25) == md_operator(PR, 0.25)
+
+    def test_aligned_measurements_never_negative_under_root(self):
+        # at beta near 0 alpha = (A - B)^2 exactly; rounding must not make it negative
+        value = operator_value(0.1, 0.1, 0.3, 0.3, 0.2, 1e-9)
+        assert value >= 0.0 and not math.isnan(value)
 
 
 class TestLocalBound:

@@ -12,6 +12,7 @@ from mdsteer.kernel import (
     partial_trace_alice,
     pauli_observable,
     pure_state,
+    require_finite,
     tensor,
 )
 
@@ -26,6 +27,12 @@ class TestDirection:
     def test_non_unit_rejected(self):
         with pytest.raises(ValidationError):
             Direction(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # abs(nan - 1) > tol is False, so the norm check alone accepts NaN
+        with pytest.raises(ValidationError, match="finite"):
+            Direction(bad, 0.0, 1.0)
 
     def test_planar(self):
         d = Direction.planar(math.pi / 2)
@@ -151,3 +158,18 @@ class TestTwoQubitState:
         bad = np.diag([1.5, -0.5, 0, 0]).astype(complex)
         with pytest.raises(ValidationError):
             TwoQubitState(bad)
+
+
+class TestRequireFinite:
+    def test_finite_scalars_and_arrays_pass(self):
+        require_finite("x", 0.0, -1e300, np.zeros((2, 3)))
+
+    def test_scalar_rejected(self):
+        with pytest.raises(ValidationError, match="angle must be finite, got nan"):
+            require_finite("angle", 1.0, math.nan)
+
+    def test_array_entry_located(self):
+        a = np.ones((2, 2))
+        a[1, 0] = math.inf
+        with pytest.raises(ValidationError, match=r"got inf at index \(1, 0\)"):
+            require_finite("table", a)

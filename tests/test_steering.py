@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_mdlhs_model
+
 from mdsteer.behaviors import OUTCOMES
 from mdsteer.kernel import Direction, ValidationError, pure_state
 from mdsteer.steering import (
@@ -16,7 +18,6 @@ from mdsteer.steering import (
     md_weight,
     mdlhv_decomposition_check,
     mix_assemblages,
-    random_mdlhs_model,
     weight_bound,
     weight_limit_values,
 )
