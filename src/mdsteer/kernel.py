@@ -43,7 +43,11 @@ class Tolerances:
         raw = os.environ.get("MDSTEER_TOL")
         if raw is None:
             return cls()
-        t = float(raw)
+        try:
+            t = float(raw)
+        except ValueError:
+            raise ValidationError(f"MDSTEER_TOL must be a number, got {raw!r}") from None
+        require_finite("MDSTEER_TOL", t)
         if t <= 0:
             raise ValidationError(f"MDSTEER_TOL must be positive, got {raw!r}")
         return cls(eq=t, psd=t, check=t)
@@ -65,6 +69,12 @@ def require_finite(what: str, *values: float | np.ndarray) -> None:
                 raise ValidationError(f"{what} must be finite, got {v[idx]} at index {idx}")
         elif not math.isfinite(v):
             raise ValidationError(f"{what} must be finite, got {v}")
+
+
+def require_seed(seed: int) -> None:
+    """Reject seeds that np.random.default_rng would refuse: non-integers and negatives."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 I2 = np.eye(2, dtype=complex)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .behaviors import (
     behavior_from_quantum,
@@ -30,7 +29,7 @@ from .inequality import (
     randomness_rate,
     violation,
 )
-from .kernel import Direction, ValidationError, pure_state
+from .kernel import Direction, ValidationError, pure_state, require_seed
 
 CURVE_KINDS = ("local", "prbox", "quantum", "tilted", "randomness")
 
@@ -66,6 +65,21 @@ class SearchConfig:
     seed: int = 0
     full_sphere: bool = False
     max_iterations: int = 400
+
+    def __post_init__(self) -> None:
+        require_seed(self.seed)
+
+
+def minimize(fun, x0, **kwargs):
+    """scipy.optimize.minimize, imported on the first call.
+
+    Every command but the quantum curve runs without scipy, so the import is
+    paid only when a Nelder-Mead run starts. quantum_max calls this through
+    the module-global name, which instrumentation may replace.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def quantum_value(ansatz: QuantumAnsatz, p: float) -> float:

@@ -24,12 +24,14 @@ import numpy as np
 
 from .behaviors import CorrelatorVector
 from .inequality import local_bound, operator_value
-from .kernel import ValidationError
+from .kernel import ValidationError, require_seed
 
 # Sign of Alice's response, indexed [setting][chi - 1]: rows x1, x2; columns chi = 1..4.
 _CHI_SIGNS = np.array([[+1.0, -1.0, +1.0, -1.0], [+1.0, -1.0, -1.0, +1.0]])
 
 XI_GRID_POINTS = 720
+# Samples drawn and evaluated at once by bound_sweep; bounds its memory.
+SWEEP_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -146,28 +148,33 @@ def bound_sweep(p: float, samples: int, seed: int, components: int = 4) -> Sweep
     weights; response types are uniform over {1..4} and xi is drawn half the
     time from a uniform 720-point grid and half the time uniformly from
     [-pi, pi). All pure grid strategies are also evaluated as singleton
-    mixtures, so the reported maximum approaches the bound. Sampling is a
-    single deterministic stream of the given seed.
+    mixtures, so the reported maximum approaches the bound. Samples are drawn
+    from one generator of the given seed in chunks of at most SWEEP_CHUNK, so
+    memory is bounded by the chunk size whatever ``samples`` is; a run of at
+    most SWEEP_CHUNK samples is a single chunk.
     """
     if not 0.0 < p <= 0.5:
         raise ValidationError(f"p must be in (0, 0.5], got {p}")
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
+    require_seed(seed)
     rng = np.random.default_rng(seed)
-
-    chi = rng.integers(1, 5, size=(samples, components))
     xi_grid = np.linspace(-math.pi, math.pi, XI_GRID_POINTS, endpoint=False)
-    use_grid = rng.uniform(size=(samples, components)) < 0.5
-    xi = np.where(
-        use_grid,
-        xi_grid[rng.integers(0, XI_GRID_POINTS, size=(samples, components))],
-        rng.uniform(-math.pi, math.pi, size=(samples, components)),
-    )
-    weights = rng.dirichlet(np.ones(components), size=samples)
-
     p1, p2 = 1.0 - p, p
-    mixed = np.einsum("sc,esc->es", weights, _component_correlators(chi, xi, p1, p2))
-    max_mixture = float(np.max(operator_value(*mixed, p)))
+
+    max_mixture = -math.inf
+    for start in range(0, samples, SWEEP_CHUNK):
+        n = min(SWEEP_CHUNK, samples - start)
+        chi = rng.integers(1, 5, size=(n, components))
+        use_grid = rng.uniform(size=(n, components)) < 0.5
+        xi = np.where(
+            use_grid,
+            xi_grid[rng.integers(0, XI_GRID_POINTS, size=(n, components))],
+            rng.uniform(-math.pi, math.pi, size=(n, components)),
+        )
+        weights = rng.dirichlet(np.ones(components), size=n)
+        mixed = np.einsum("sc,esc->es", weights, _component_correlators(chi, xi, p1, p2))
+        max_mixture = max(max_mixture, float(np.max(operator_value(*mixed, p))))
 
     # Pure grid strategies over every response type.
     grid_chi = np.repeat(np.arange(1, 5), XI_GRID_POINTS)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mdsteer
 from mdsteer.behaviors import Behavior, pr_box
 from mdsteer.cli import main
 
@@ -63,6 +68,15 @@ class TestEval:
         path = write_behavior(tmp_path / "pr.json", pr_box())
         assert main(["eval", "--in", path, "--p", "0.9"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "abc", "-1"])
+    def test_bad_tolerance_env_exits_2(self, tol, tmp_path, monkeypatch, capsys):
+        path = write_behavior(tmp_path / "pr.json", pr_box())
+        monkeypatch.setenv("MDSTEER_TOL", tol)
+        assert main(["eval", "--in", path, "--p", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "MDSTEER_TOL" in captured.err
+
 
 class TestCurve:
     def test_local_three_points(self, tmp_path):
@@ -114,6 +128,10 @@ class TestCurve:
         assert main(["curve", "--kind", "local", "--steps", "2"]) == 0
         assert capsys.readouterr().out.startswith("p,value")
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["curve", "--kind", "quantum", "--steps", "1", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_pass(self, capsys):
@@ -128,6 +146,10 @@ class TestOracle:
 
     def test_bad_p_exits_2(self):
         assert main(["oracle", "--p", "0.7", "--samples", "10"]) == 2
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["oracle", "--p", "0.3", "--samples", "10", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_writes_report_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -165,6 +187,20 @@ class TestAdversary:
         main(["adversary", "--theta", "0.8", "--phi", "0.8", "--delta", "1.0"])
         record = json.loads(capsys.readouterr().out)
         assert record["independent"] is True
+
+
+class TestStartup:
+    @pytest.mark.parametrize("module", ["mdsteer.cli", "mdsteer"])
+    def test_import_leaves_scipy_unloaded(self, module):
+        # scipy.optimize is imported only when a Nelder-Mead run starts.
+        code = f"import sys, {module}; print('scipy' in sys.modules)"
+        src = str(Path(mdsteer.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out.strip() == "False"
 
 
 class TestBehaviorRoundTrip:

@@ -5,6 +5,7 @@ import pytest
 
 from mdsteer.kernel import (
     Direction,
+    Tolerances,
     TwoQubitState,
     ValidationError,
     bell_phi_plus,
@@ -158,6 +159,18 @@ class TestTwoQubitState:
         bad = np.diag([1.5, -0.5, 0, 0]).astype(complex)
         with pytest.raises(ValidationError):
             TwoQubitState(bad)
+
+
+class TestTolerancesFromEnv:
+    def test_override_applies_to_every_tolerance(self, monkeypatch):
+        monkeypatch.setenv("MDSTEER_TOL", "1e-6")
+        assert Tolerances.from_env() == Tolerances(eq=1e-6, psd=1e-6, check=1e-6)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "abc", "", "0", "-1"])
+    def test_invalid_override_rejected(self, raw, monkeypatch):
+        monkeypatch.setenv("MDSTEER_TOL", raw)
+        with pytest.raises(ValidationError, match="MDSTEER_TOL"):
+            Tolerances.from_env()
 
 
 class TestRequireFinite:

@@ -74,6 +74,29 @@ class TestQuantumMax:
         assert a.value == b.value
         assert a.argmax.theta == b.argmax.theta
 
+    def test_minimize_looked_up_per_restart(self, monkeypatch):
+        # Instrumentation counts Nelder-Mead runs by replacing the module-global
+        # mdsteer.optimize.minimize; quantum_max must call it through that name.
+        import mdsteer.optimize as optimize
+
+        plain = quantum_max(0.25, FAST)
+        calls = []
+        real = optimize.minimize
+
+        def counting(fun, x0, **kwargs):
+            calls.append(kwargs["method"])
+            return real(fun, x0, **kwargs)
+
+        monkeypatch.setattr(optimize, "minimize", counting)
+        patched = quantum_max(0.25, FAST)
+        assert calls == ["Nelder-Mead"] * FAST.restarts
+        assert patched == plain
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_validated(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            SearchConfig(seed=seed)
+
     def test_full_sphere_agrees_at_half(self):
         cfg = SearchConfig(restarts=4, grid_density=4, max_iterations=200, full_sphere=True)
         point = quantum_max(0.5, cfg)

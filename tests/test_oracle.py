@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,17 +7,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdsteer.behaviors import CorrelatorVector
-from mdsteer.inequality import local_bound, md_operator
+from mdsteer.inequality import local_bound, md_operator, operator_value
 from mdsteer.kernel import ValidationError
 from mdsteer.oracle import (
+    SWEEP_CHUNK,
+    XI_GRID_POINTS,
     ExtremalStrategy,
     StrategyMixture,
+    _component_correlators,
     bound_sweep,
     extremal_correlators,
     general_beta_operator,
     mixture_correlators,
     saturating_mixture,
 )
+
+
+def one_shot_sweep_maxima(p, samples, seed, components=4):
+    """(mixture maximum, overall maximum) of the sweep as first written: every sample at once."""
+    rng = np.random.default_rng(seed)
+    chi = rng.integers(1, 5, size=(samples, components))
+    xi_grid = np.linspace(-math.pi, math.pi, XI_GRID_POINTS, endpoint=False)
+    use_grid = rng.uniform(size=(samples, components)) < 0.5
+    xi = np.where(
+        use_grid,
+        xi_grid[rng.integers(0, XI_GRID_POINTS, size=(samples, components))],
+        rng.uniform(-math.pi, math.pi, size=(samples, components)),
+    )
+    weights = rng.dirichlet(np.ones(components), size=samples)
+    p1, p2 = 1.0 - p, p
+    mixed = np.einsum("sc,esc->es", weights, _component_correlators(chi, xi, p1, p2))
+    max_mixture = float(np.max(operator_value(*mixed, p)))
+    grid_chi = np.repeat(np.arange(1, 5), XI_GRID_POINTS)
+    grid_xi = np.tile(xi_grid, 4)
+    grid = _component_correlators(grid_chi, grid_xi, p1, p2)
+    return max_mixture, max(max_mixture, float(np.max(operator_value(*grid, p))))
 
 
 class TestExtremalStrategy:
@@ -123,6 +148,47 @@ class TestBoundSweep:
             bound_sweep(0.6, 10, seed=0)
         with pytest.raises(ValidationError):
             bound_sweep(0.3, 0, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 0.5, "3"])
+    def test_seed_validated(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            bound_sweep(0.3, 10, seed=seed)
+
+    @pytest.mark.parametrize("samples", [1, 777, SWEEP_CHUNK])
+    def test_single_chunk_matches_one_shot_stream(self, samples, monkeypatch):
+        import mdsteer.oracle as oracle
+
+        # The grid singletons usually set max_operator, so the mixtures' own
+        # maximum is compared too; it is the first operator_value call.
+        seen = []
+        real = oracle.operator_value
+
+        def recording(*args):
+            values = real(*args)
+            seen.append(values)
+            return values
+
+        monkeypatch.setattr(oracle, "operator_value", recording)
+        report = bound_sweep(0.3, samples, seed=17)
+        assert len(seen) == 2  # one chunk, then the grid
+        max_mixture, max_operator = one_shot_sweep_maxima(0.3, samples, 17)
+        assert float(np.max(seen[0])) == max_mixture
+        assert report.max_operator == max_operator
+
+    def test_several_chunks_deterministic_and_sound(self):
+        a = bound_sweep(0.35, 2 * SWEEP_CHUNK + 5, seed=8)
+        assert a == bound_sweep(0.35, 2 * SWEEP_CHUNK + 5, seed=8)
+        assert a.passed and a.samples == 2 * SWEEP_CHUNK + 5
+
+    def test_peak_memory_bounded_by_chunk(self):
+        # The one-shot sweep peaked at 230.8 MB here; chunks keep it flat in samples.
+        tracemalloc.start()
+        try:
+            bound_sweep(0.3264, 500_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_report_json_keys(self):
         import json
