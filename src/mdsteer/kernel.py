@@ -116,15 +116,30 @@ class Direction:
         return np.array([self.nx, self.ny, self.nz])
 
 
-def is_hermitian(m: np.ndarray, tol: float = TOL.eq) -> bool:
+def _verdict(ok: np.ndarray) -> bool | np.ndarray:
+    return bool(ok) if ok.ndim == 0 else ok
+
+
+def is_hermitian(m: np.ndarray, tol: float = TOL.eq) -> bool | np.ndarray:
+    """Whether m equals its conjugate transpose within tol.
+
+    m is one matrix (returns a bool) or a stack (..., n, n) (returns one bool
+    per matrix); non-square input is never Hermitian.
+    """
     m = np.asarray(m, dtype=complex)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
+    if m.shape[-1] != m.shape[-2]:
+        return _verdict(np.zeros(m.shape[:-2], dtype=bool))
+    return _verdict(np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= tol)
 
 
-def is_psd(m: np.ndarray, tol: float = TOL.psd) -> bool:
-    if not is_hermitian(m, tol=max(tol, TOL.eq)):
-        return False
-    return float(np.linalg.eigvalsh(m).min()) >= -tol
+def is_psd(m: np.ndarray, tol: float = TOL.psd) -> bool | np.ndarray:
+    """Whether m is Hermitian with smallest eigenvalue >= -tol; stacks as is_hermitian."""
+    m = np.asarray(m, dtype=complex)
+    hermitian = is_hermitian(m, tol=max(tol, TOL.eq))
+    if not np.any(hermitian):  # also covers non-square input, which eigvalsh rejects
+        return hermitian
+    # eigvalsh reads one triangle only, so the Hermitian verdict must gate it.
+    return _verdict(hermitian & (np.linalg.eigvalsh(m).min(axis=-1) >= -tol))
 
 
 def pauli_observable(n: Direction) -> np.ndarray:
@@ -139,10 +154,24 @@ def projector(n: Direction, outcome: int) -> np.ndarray:
     return projectors([n])[0, OUTCOMES.index(outcome)]
 
 
+# Row r holds the coefficient matrices of (1, nx, ny, nz)[r] in P[k] = (I + s_k n . sigma)/2,
+# both outcomes k flattened; every entry is 0 or +/-1/2 (times 1 or i).
+_PROJECTOR_BASIS = (
+    np.array([[I2, I2]] + [[k * s for k in OUTCOME_SIGNS] for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+    .reshape(4, 8)
+    / 2.0
+)
+
+
 def projectors(dirs: Sequence[Direction]) -> np.ndarray:
-    """Stack P[s, k] of projectors onto the OUTCOMES[k] eigenspace of dirs[s] . sigma."""
-    obs = np.array([pauli_observable(n) for n in dirs])
-    return (I2 + OUTCOME_SIGNS[:, None, None] * obs[:, None]) / 2.0
+    """Stack P[s, k] of projectors onto the OUTCOMES[k] eigenspace of dirs[s] . sigma.
+
+    One matmul of (1, nx, ny, nz) rows with _PROJECTOR_BASIS. Each entry sums at
+    most two nonzero terms scaled by exact halves, so it equals (I +/- n . sigma)/2
+    bit for bit.
+    """
+    coeffs = np.array([(1.0, n.nx, n.ny, n.nz) for n in dirs])
+    return (coeffs @ _PROJECTOR_BASIS).reshape(len(coeffs), 2, 2, 2)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -16,7 +16,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .behaviors import (
+# behavior_from_quantum and pure_state are not called here, but
+# perfbench/tracing.py looks them up in this module by name.
+from .behaviors import (  # noqa: F401
+    CorrelatorVector,
     behavior_from_quantum,
     correlators,
     randomness_behavior,
@@ -29,7 +32,13 @@ from .inequality import (
     randomness_rate,
     violation,
 )
-from .kernel import Direction, ValidationError, pure_state, require_seed
+from .kernel import (  # noqa: F401
+    Direction,
+    ValidationError,
+    pure_state,
+    require_finite,
+    require_seed,
+)
 
 CURVE_KINDS = ("local", "prbox", "quantum", "tilted", "randomness")
 
@@ -68,6 +77,13 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         require_seed(self.seed)
+        for name, least in (("restarts", 0), ("grid_density", 1), ("max_iterations", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+        require_finite("tol", self.tol)
+        if self.tol <= 0:
+            raise ValidationError(f"tol must be positive, got {self.tol!r}")
 
 
 def minimize(fun, x0, **kwargs):
@@ -83,11 +99,19 @@ def minimize(fun, x0, **kwargs):
 
 
 def quantum_value(ansatz: QuantumAnsatz, p: float) -> float:
-    """Steering operator value of the behavior produced by the ansatz."""
-    behavior = behavior_from_quantum(
-        pure_state(ansatz.theta), ansatz.directions[:2], ansatz.directions[2:]
-    )
-    return md_operator(correlators(behavior), p)
+    """Steering operator value of the behavior produced by the ansatz.
+
+    The state cos(theta)|00> - sin(theta)|11> has correlation matrix
+    T = diag(-sin 2theta, sin 2theta, 1), so E(n, m) = n^T T m; no behavior is
+    built. tests/test_contractions.py checks this against the Born rule.
+    """
+    s = math.sin(2.0 * ansatz.theta)
+    n1, n2, m1, m2 = ansatz.directions
+
+    def e(n: Direction, m: Direction) -> float:
+        return -s * n.nx * m.nx + s * n.ny * m.ny + n.nz * m.nz
+
+    return md_operator(CorrelatorVector(e(n1, m1), e(n1, m2), e(n2, m1), e(n2, m2)), p)
 
 
 def _planar_ansatz(params: np.ndarray) -> QuantumAnsatz:

@@ -49,17 +49,23 @@ class Assemblage:
     def __post_init__(self) -> None:
         elems = {}
         for x in SETTINGS:
-            trace_sum = 0.0
             for a in OUTCOMES:
                 if (a, x) not in self.elements:
                     raise ValidationError(f"missing assemblage element for (a={a}, x={x})")
                 m = np.asarray(self.elements[(a, x)], dtype=complex)
                 if m.shape != (2, 2):
                     raise ValidationError(f"element (a={a}, x={x}) must be 2x2")
-                if not is_psd(m):
-                    raise ValidationError(f"element (a={a}, x={x}) is not PSD")
-                trace_sum += np.trace(m).real
                 elems[(a, x)] = m
+        # PSD and trace checks run on the stack sigma[x][a], after every element is
+        # present and 2x2; their faults are reported in the (x, a) order of the loop.
+        sigma = np.array(list(elems.values())).reshape(2, 2, 2, 2)
+        psd = is_psd(sigma)
+        traces = np.trace(sigma, axis1=-2, axis2=-1).real
+        for ix, x in enumerate(SETTINGS):
+            for ia, a in enumerate(OUTCOMES):
+                if not psd[ix, ia]:
+                    raise ValidationError(f"element (a={a}, x={x}) is not PSD")
+            trace_sum = traces[ix, 0] + traces[ix, 1]
             if abs(trace_sum - 1.0) > 1e-10:
                 raise ValidationError(
                     f"traces for x={x} sum to {trace_sum}, expected 1"
@@ -102,13 +108,11 @@ class MdLhsModel:
             raise ValidationError("p(lambda|x) must sum to 1 for each x")
         if np.max(np.abs(pax.sum(axis=2) - 1.0)) > 1e-10:
             raise ValidationError("p(a|x,lambda) must sum to 1 for each (x, lambda)")
-        for lam in range(n):
-            for ix in range(2):
-                rho = states[lam, ix]
-                if not is_psd(rho) or abs(np.trace(rho).real - 1.0) > 1e-10:
-                    raise ValidationError(
-                        f"states[{lam}][{ix}] is not a valid density matrix"
-                    )
+        traces = np.trace(states, axis1=-2, axis2=-1).real
+        invalid = ~is_psd(states) | (np.abs(traces - 1.0) > 1e-10)
+        if invalid.any():
+            lam, ix = np.argwhere(invalid)[0]  # the first in (lambda, x) order
+            raise ValidationError(f"states[{lam}][{ix}] is not a valid density matrix")
         object.__setattr__(self, "p_lambda_given_x", plx)
         object.__setattr__(self, "p_a_given_x_lambda", pax)
         object.__setattr__(self, "states", states)

@@ -1,28 +1,34 @@
-"""The einsum contractions checked against their defining kron/trace formulas.
+"""The einsum contractions and closed forms checked against their definitions.
 
 The reference functions below spell out each definition with the kernel's
 ``tensor``, ``projector`` and ``partial_trace_alice``, one (setting, outcome)
 pair at a time; the projector stack itself is checked against
-``pauli_observable``. States are complex and mixed and directions leave the
-x-z plane, so a transposed index in a contraction changes the result.
+``pauli_observable``, and the optimizer's closed-form correlators against the
+Born rule. States are complex and mixed and directions leave the x-z plane,
+so a transposed index in a contraction changes the result.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdsteer.behaviors import OUTCOMES, behavior_from_quantum
+from mdsteer.behaviors import OUTCOMES, behavior_from_quantum, correlators
+from mdsteer.inequality import md_operator
 from mdsteer.kernel import (
     Direction,
     TwoQubitState,
+    ValidationError,
     partial_trace_alice,
     pauli_observable,
     projector,
     projectors,
+    pure_state,
     tensor,
 )
+from mdsteer.optimize import QuantumAnsatz, quantum_value
 from mdsteer.steering import SETTINGS, assemblage_from_state, behavior_from_assemblage
 
 directions = st.builds(
@@ -82,6 +88,32 @@ def test_projector_stack_is_spectral_decomposition(dirs):
         np.testing.assert_allclose(plus - minus, pauli_observable(n), atol=1e-15)
         np.testing.assert_allclose(plus + minus, np.eye(2), atol=1e-15)
         np.testing.assert_allclose(plus @ plus, plus, atol=1e-15)
+
+
+@given(dirs=st.lists(directions, min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_projector_stack_is_bit_identical_to_definition(dirs):
+    want = np.array([[(np.eye(2) + a * pauli_observable(n)) / 2 for a in OUTCOMES] for n in dirs])
+    assert np.array_equal(projectors(dirs), want)
+
+
+@given(
+    theta=st.floats(0.0, math.pi / 2),
+    dirs=st.tuples(directions, directions, directions, directions),
+    p=st.floats(0.0, 0.5),
+)
+@settings(max_examples=200, deadline=None)
+def test_quantum_value_matches_born_rule(theta, dirs, p):
+    got = quantum_value(QuantumAnsatz(theta, dirs), p)
+    behavior = behavior_from_quantum(pure_state(theta), dirs[:2], dirs[2:])
+    assert abs(got - md_operator(correlators(behavior), p)) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [-1e-9, 0.5 + 1e-9, 1.0, math.nan])
+def test_quantum_value_rejects_p_outside_range(p):
+    ansatz = QuantumAnsatz(math.pi / 4, tuple(Direction.planar(a) for a in (0.0, 1.0, 2.0, 3.0)))
+    with pytest.raises(ValidationError):
+        quantum_value(ansatz, p)
 
 
 @given(seed=seeds, x_dirs=direction_pairs, y_dirs=direction_pairs)

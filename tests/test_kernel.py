@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from mdsteer.kernel import (
+    TOL,
     Direction,
     Tolerances,
     TwoQubitState,
     ValidationError,
     bell_phi_plus,
     expectation,
+    is_hermitian,
+    is_psd,
     partial_trace_alice,
     pauli_observable,
     pure_state,
@@ -186,3 +189,53 @@ class TestRequireFinite:
         a[1, 0] = math.inf
         with pytest.raises(ValidationError, match=r"got inf at index \(1, 0\)"):
             require_finite("table", a)
+
+
+def reference_is_hermitian(m, tol=TOL.eq):
+    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
+
+
+def reference_is_psd(m, tol=TOL.psd):
+    return reference_is_hermitian(m, max(tol, TOL.eq)) and np.linalg.eigvalsh(m).min() >= -tol
+
+
+def mixed_stack(rng, shape, dim):
+    """Stack of PSD, indefinite, near-boundary and non-Hermitian dim x dim matrices."""
+    count = int(np.prod(shape))
+    kinds = rng.permutation(np.arange(count) % 5)
+    out = np.empty((count, dim, dim), dtype=complex)
+    for i, kind in enumerate(kinds):
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        eig = rng.uniform(0.0, 1.0, dim)
+        # kinds 0 and 4 are PSD, 1 indefinite, 2 and 3 just inside and outside the slack
+        if kind == 1:
+            eig[0] = -rng.uniform(0.01, 1.0)
+        elif kind in (2, 3):
+            eig[0] = (-0.5 if kind == 2 else -2.0) * TOL.psd
+        out[i] = q @ np.diag(eig) @ q.conj().T
+        if kind == 4:  # eigvalsh reads one triangle and would call this PSD
+            out[i, 0, 1] += 1e-6
+    return out.reshape(shape + (dim, dim))
+
+
+class TestStackedChecks:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("shape, dim", [((20,), 2), ((3, 4, 2), 2), ((10,), 4)])
+    def test_stack_verdicts_match_per_matrix_loop(self, seed, shape, dim):
+        stack = mixed_stack(np.random.default_rng(seed), shape, dim)
+        psd, hermitian = is_psd(stack), is_hermitian(stack)
+        assert psd.shape == hermitian.shape == shape
+        for idx in np.ndindex(*shape):
+            assert psd[idx] == reference_is_psd(stack[idx])
+            assert hermitian[idx] == reference_is_hermitian(stack[idx])
+        assert psd.any() and not psd.all()
+
+    def test_single_matrix_gives_bool(self):
+        assert is_psd(np.eye(2)) is True
+        assert is_psd(np.diag([1.0, -1.0])) is False
+        assert is_hermitian(np.array([[0, 1], [0, 0]])) is False
+
+    def test_non_square_never_hermitian(self):
+        assert is_hermitian(np.ones((2, 3))) is False
+        assert is_psd(np.ones((2, 3))) is False
+        assert not is_psd(np.ones((4, 2, 3))).any()

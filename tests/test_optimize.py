@@ -97,6 +97,28 @@ class TestQuantumMax:
         with pytest.raises(ValidationError, match="seed"):
             SearchConfig(seed=seed)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("grid_density", 0),
+            ("grid_density", 2.0),
+            ("restarts", -1),
+            ("restarts", 1.5),
+            ("max_iterations", 0),
+            ("tol", math.nan),
+            ("tol", math.inf),
+            ("tol", 0.0),
+        ],
+    )
+    def test_search_fields_validated(self, field, bad):
+        with pytest.raises(ValidationError, match=field):
+            SearchConfig(**{field: bad})
+
+    def test_smallest_search_runs(self):
+        # one grid angle, no restarts: the best grid point is the answer
+        point = quantum_max(0.5, SearchConfig(restarts=0, grid_density=1, max_iterations=1))
+        assert point.value == pytest.approx(quantum_value(point.argmax, 0.5), abs=1e-15)
+
     def test_full_sphere_agrees_at_half(self):
         cfg = SearchConfig(restarts=4, grid_density=4, max_iterations=200, full_sphere=True)
         point = quantum_max(0.5, cfg)

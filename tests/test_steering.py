@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -280,3 +281,58 @@ class TestModelJson:
         np.testing.assert_array_equal(model.p_lambda_given_x, again.p_lambda_given_x)
         np.testing.assert_array_equal(model.p_a_given_x_lambda, again.p_a_given_x_lambda)
         np.testing.assert_array_equal(model.states, again.states)
+
+
+# Each bad element keeps its setting's traces summing to 1, so only the PSD
+# check (Assemblage) or the density check (MdLhsModel) can fail.
+BAD_QUARTER = {
+    "indefinite": np.diag([0.5, -0.25]).astype(complex),
+    "non-hermitian": np.array([[0.125, 0.1], [0.0, 0.125]], dtype=complex),
+}
+BAD_DENSITY = {
+    "indefinite": np.diag([1.5, -0.5]).astype(complex),
+    "non-hermitian": np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex),
+    "trace": np.eye(2, dtype=complex) * 0.6,
+}
+
+
+def exactly(message):
+    return f"^{re.escape(message)}$"
+
+
+class TestStackedValidation:
+    @pytest.mark.parametrize("kind", sorted(BAD_QUARTER))
+    @pytest.mark.parametrize("a", OUTCOMES)
+    @pytest.mark.parametrize("x", SETTINGS)
+    def test_assemblage_names_bad_element(self, x, a, kind):
+        elements = {(b, y): np.eye(2, dtype=complex) / 4 for b in OUTCOMES for y in SETTINGS}
+        elements[(a, x)] = BAD_QUARTER[kind]
+        with pytest.raises(ValidationError, match=exactly(f"element (a={a}, x={x}) is not PSD")):
+            Assemblage(elements)
+
+    def test_assemblage_first_fault_in_loop_order(self):
+        elements = {(b, y): np.eye(2, dtype=complex) / 4 for b in OUTCOMES for y in SETTINGS}
+        elements[(-1, 2)] = BAD_QUARTER["indefinite"]
+        elements[(+1, 1)] = np.eye(2, dtype=complex) / 2  # x=1 traces now sum to 1.5
+        with pytest.raises(ValidationError, match=exactly("traces for x=1 sum to 1.5, expected 1")):
+            Assemblage(elements)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_DENSITY))
+    @pytest.mark.parametrize("lam", range(3))
+    @pytest.mark.parametrize("ix", range(2))
+    def test_model_names_bad_state(self, lam, ix, kind):
+        model = random_mdlhs_model(5, n_lambdas=3)
+        states = model.states.copy()
+        states[lam, ix] = BAD_DENSITY[kind]
+        message = f"states[{lam}][{ix}] is not a valid density matrix"
+        with pytest.raises(ValidationError, match=exactly(message)):
+            MdLhsModel(model.p_lambda_given_x, model.p_a_given_x_lambda, states)
+
+    def test_model_first_fault_in_loop_order(self):
+        model = random_mdlhs_model(6, n_lambdas=3)
+        states = model.states.copy()
+        states[2, 0] = BAD_DENSITY["indefinite"]
+        states[1, 1] = BAD_DENSITY["trace"]
+        message = "states[1][1] is not a valid density matrix"
+        with pytest.raises(ValidationError, match=exactly(message)):
+            MdLhsModel(model.p_lambda_given_x, model.p_a_given_x_lambda, states)
