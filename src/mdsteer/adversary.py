@@ -70,7 +70,8 @@ class ConstraintReport:
                 "pXGivenLambda": self.p_x_given_lambda.tolist(),
                 "maxL": self.max_l,
                 "independent": self.measurement_independent,
-            }
+            },
+            allow_nan=False,
         )
 
 

@@ -10,21 +10,45 @@ import argparse
 import json
 import math
 import sys
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
-from .adversary import BiasModel, constraint_report
 from .behaviors import Behavior, correlators, no_signalling_check
-from .inequality import local_bound, md_operator, violation
-from .kernel import Tolerances, ValidationError
-from .optimize import CURVE_KINDS, CurvePoint, SearchConfig, curve
-from .oracle import bound_sweep
+from .inequality import CURVE_KINDS, local_bound, md_operator, violation
+from .kernel import Tolerances, ValidationError, require_finite
+
+if TYPE_CHECKING:
+    from .optimize import CurvePoint
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_DOMAIN = 2
 EXIT_BOUND = 3
+
+
+# The search and report layers are imported by the command that runs them,
+# so eval never loads optimize, oracle or adversary. These forwarders keep
+# their names module-level, where instrumentation may replace them.
+def curve(kind, p_grid, **kwargs):
+    """optimize.curve, imported on the first call."""
+    from .optimize import curve as optimize_curve
+
+    return optimize_curve(kind, p_grid, **kwargs)
+
+
+def bound_sweep(p, samples, seed):
+    """oracle.bound_sweep, imported on the first call."""
+    from .oracle import bound_sweep as oracle_bound_sweep
+
+    return oracle_bound_sweep(p, samples, seed)
+
+
+def constraint_report(model):
+    """adversary.constraint_report, imported on the first call."""
+    from .adversary import constraint_report as adversary_constraint_report
+
+    return adversary_constraint_report(model)
 
 
 def _fmt(x: float) -> str:
@@ -38,6 +62,7 @@ def _planar_angle(d) -> float:
 def _p_grid(args: argparse.Namespace) -> List[float]:
     if args.steps < 1:
         raise ValidationError(f"--steps must be >= 1, got {args.steps}")
+    require_finite("--p-min and --p-max", args.p_min, args.p_max)
     if args.steps == 1:
         return [args.p_min]
     return list(np.linspace(args.p_min, args.p_max, args.steps))
@@ -65,7 +90,7 @@ def _curve_rows(kind: str, points: Sequence[CurvePoint]) -> tuple:
 
 def _write_table(path: Optional[str], header: List[str], rows: List[List[float]], fmt: str) -> None:
     if fmt == "json":
-        text = json.dumps([dict(zip(header, row)) for row in rows]) + "\n"
+        text = json.dumps([dict(zip(header, row)) for row in rows], allow_nan=False) + "\n"
     else:
         lines = [",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
@@ -98,11 +123,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "delta": violation(c, args.p),
         "noSignalling": {"maxDeviation": ns.max_deviation, "pass": ns.passed},
     }
-    print(json.dumps(record))
+    print(json.dumps(record, allow_nan=False))
     return EXIT_OK
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
+    from .optimize import SearchConfig
+
     try:
         grid = _p_grid(args)
         config = SearchConfig(seed=args.seed)
@@ -120,9 +147,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        print(f"error: --samples must be >= 1, got {args.samples}", file=sys.stderr)
-        return EXIT_IO
     try:
         report = bound_sweep(args.p, args.samples, args.seed)
     except ValidationError as exc:
@@ -141,6 +165,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_adversary(args: argparse.Namespace) -> int:
+    from .adversary import BiasModel
+
     try:
         report = constraint_report(BiasModel(args.theta, args.phi, args.delta))
     except ValidationError as exc:

@@ -13,6 +13,9 @@ import math
 from .behaviors import CorrelatorVector
 from .kernel import ValidationError
 
+# Figure curves over p: optimize.curve computes them and the CLI offers them.
+CURVE_KINDS = ("local", "prbox", "quantum", "tilted", "randomness")
+
 
 def _check_p(p: float) -> None:
     if not 0.0 <= p <= 0.5:

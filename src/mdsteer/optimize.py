@@ -26,6 +26,7 @@ from .behaviors import (  # noqa: F401
     tilted_behavior,
 )
 from .inequality import (
+    CURVE_KINDS,
     local_bound,
     md_operator,
     pr_closed_form,
@@ -39,8 +40,6 @@ from .kernel import (  # noqa: F401
     require_finite,
     require_seed,
 )
-
-CURVE_KINDS = ("local", "prbox", "quantum", "tilted", "randomness")
 
 
 @dataclass(frozen=True)

@@ -119,26 +119,30 @@ class SweepReport:
                 "bound": self.bound,
                 "pass": self.passed,
                 "seed": self.seed,
-            }
+            },
+            allow_nan=False,
         )
 
 
 def _component_correlators(
     chi: np.ndarray, xi: np.ndarray, p1: float, p2: float, beta: float = math.pi / 4
 ) -> np.ndarray:
-    """Reweighted correlators (e11, e12, e21, e22) of extremal strategies; shape (4,) + chi.shape."""
-    c_plus = np.cos(xi + beta)
-    c_minus = np.cos(xi - beta)
-    sa, sb = _CHI_SIGNS[:, chi - 1]
-    return np.stack(
-        [
-            sa * 2.0 * p1 * c_plus,
-            sa * 2.0 * p1 * c_minus,
-            sb * 2.0 * p2 * c_plus,
-            sb * 2.0 * p2 * c_minus,
-        ],
-        axis=0,
-    )
+    """Reweighted correlators (e11, e12, e21, e22) of extremal strategies; shape (4,) + chi.shape.
+
+    Entry (x, y) is sign_x(chi) * 2 p_x * cos(xi +- beta). The cosines are
+    written into the output and scaled in place by the signed factors
+    sign_x(chi) * 2 p_x; scaling by +-2 is exact, so every entry equals
+    sign * 2.0 * p_x * cos(...) evaluated left to right, bit for bit.
+    """
+    factors = np.take(_CHI_SIGNS * np.array([[2.0 * p1], [2.0 * p2]]), np.asarray(chi) - 1, axis=1)
+    out = np.empty((4,) + np.broadcast_shapes(np.shape(chi), np.shape(xi)))
+    cosines, x2 = out[:2], out[2:]
+    np.add(xi, beta, out=out[0, ...])
+    np.subtract(xi, beta, out=out[1, ...])
+    np.cos(cosines, out=cosines)
+    np.multiply(cosines, factors[1], out=x2)
+    np.multiply(cosines, factors[0], out=cosines)
+    return out
 
 
 def bound_sweep(p: float, samples: int, seed: int, components: int = 4) -> SweepReport:

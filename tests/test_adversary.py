@@ -5,6 +5,7 @@ import pytest
 
 from mdsteer.adversary import (
     BiasModel,
+    ConstraintReport,
     constraint_report,
     marginal_setting_prob,
     md_bound_check,
@@ -92,3 +93,14 @@ class TestConstraintReport:
 
         data = json.loads(constraint_report(EXAMPLE_A).to_json())
         assert set(data) == {"pX1", "pLambda", "pXGivenLambda", "maxL", "independent"}
+
+    def test_json_rejects_nan(self):
+        report = ConstraintReport(
+            p_x1=0.5,
+            p_lambda=np.array([0.5, math.nan]),
+            p_x_given_lambda=np.full((2, 2), 0.5),
+            max_l=0.5,
+            measurement_independent=True,
+        )
+        with pytest.raises(ValueError):
+            report.to_json()

@@ -10,7 +10,7 @@ import pytest
 
 import mdsteer
 from mdsteer.behaviors import Behavior, pr_box
-from mdsteer.cli import main
+from mdsteer.cli import _write_table, main
 
 
 def write_behavior(path, behavior):
@@ -63,6 +63,13 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
+
+    def test_non_finite_operator_raises_instead_of_printing_nan(self, tmp_path, monkeypatch, capsys):
+        path = write_behavior(tmp_path / "pr.json", pr_box())
+        monkeypatch.setattr(mdsteer.cli, "md_operator", lambda c, p: math.nan)
+        with pytest.raises(ValueError):
+            main(["eval", "--in", path, "--p", "0.5"])
+        assert capsys.readouterr().out == ""
 
     def test_p_out_of_range_exits_2(self, tmp_path):
         path = write_behavior(tmp_path / "pr.json", pr_box())
@@ -132,6 +139,22 @@ class TestCurve:
         assert main(["curve", "--kind", "quantum", "--steps", "1", "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning on the way
+    @pytest.mark.parametrize(
+        "bounds", [["--p-max", "inf"], ["--p-min", "nan"], ["--p-min=-inf"]]
+    )
+    def test_non_finite_p_bounds_exit_2(self, bounds, capsys):
+        assert main(["curve", "--kind", "local", "--steps", "3", *bounds]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "finite" in captured.err
+
+    def test_json_table_rejects_nan(self, capsys):
+        with pytest.raises(ValueError):
+            _write_table(None, ["p", "value"], [[0.0, math.nan]], "json")
+        assert capsys.readouterr().out == ""
+
 
 class TestOracle:
     def test_pass(self, capsys):
@@ -141,8 +164,12 @@ class TestOracle:
         assert record["pass"] is True
         assert record["maxI"] <= record["bound"] + 1e-9
 
-    def test_zero_samples_exits_1(self):
-        assert main(["oracle", "--p", "0.5", "--samples", "0"]) == 1
+    def test_zero_samples_exits_2(self, capsys):
+        # A sample count below 1 is a domain error, like curve --steps 0.
+        assert main(["oracle", "--p", "0.5", "--samples", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "samples" in captured.err
 
     def test_bad_p_exits_2(self):
         assert main(["oracle", "--p", "0.7", "--samples", "10"]) == 2
@@ -189,18 +216,47 @@ class TestAdversary:
         assert record["independent"] is True
 
 
+def run_python(code, cwd=None):
+    """Stdout of ``python -c code`` in a fresh interpreter that finds this checkout's mdsteer."""
+    src = str(Path(mdsteer.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
+        cwd=cwd,
+    ).stdout
+
+
+LOADED = "import json; print(json.dumps(sorted(m for m in sys.modules if m.startswith('mdsteer.'))))"
+
+
 class TestStartup:
     @pytest.mark.parametrize("module", ["mdsteer.cli", "mdsteer"])
     def test_import_leaves_scipy_unloaded(self, module):
         # scipy.optimize is imported only when a Nelder-Mead run starts.
-        code = f"import sys, {module}; print('scipy' in sys.modules)"
-        src = str(Path(mdsteer.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-        ).stdout
+        out = run_python(f"import sys, {module}; print('scipy' in sys.modules)")
         assert out.strip() == "False"
+
+    def test_import_mdsteer_loads_no_submodule(self):
+        assert run_python(f"import sys, mdsteer; {LOADED}").strip() == "[]"
+
+    def test_import_cli_defers_search_and_report_layers(self):
+        loaded = json.loads(run_python(f"import sys, mdsteer.cli; {LOADED}"))
+        assert loaded == ["mdsteer.behaviors", "mdsteer.cli", "mdsteer.inequality", "mdsteer.kernel"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--in", "pr.json", "--p", "0.5"],
+            ["adversary", "--theta", "0.3", "--phi", "2.051", "--delta", "2.447"],
+        ],
+    )
+    def test_command_loads_no_search_layer(self, argv, tmp_path):
+        write_behavior(tmp_path / "pr.json", pr_box())
+        code = f"import sys; from mdsteer.cli import main; assert main({argv!r}) == 0; {LOADED}"
+        loaded = set(json.loads(run_python(code, cwd=tmp_path).splitlines()[-1]))
+        assert "mdsteer.cli" in loaded
+        assert not {"mdsteer.oracle", "mdsteer.optimize", "mdsteer.steering"} & loaded
 
 
 class TestBehaviorRoundTrip:

@@ -10,10 +10,12 @@ from mdsteer.behaviors import CorrelatorVector
 from mdsteer.inequality import local_bound, md_operator, operator_value
 from mdsteer.kernel import ValidationError
 from mdsteer.oracle import (
+    _CHI_SIGNS,
     SWEEP_CHUNK,
     XI_GRID_POINTS,
     ExtremalStrategy,
     StrategyMixture,
+    SweepReport,
     _component_correlators,
     bound_sweep,
     extremal_correlators,
@@ -21,6 +23,22 @@ from mdsteer.oracle import (
     mixture_correlators,
     saturating_mixture,
 )
+
+
+def sign_gather_correlators(chi, xi, p1, p2, beta=math.pi / 4):
+    """The chunk kernel as first written: gather +-1 signs, multiply, stack four arrays."""
+    c_plus = np.cos(xi + beta)
+    c_minus = np.cos(xi - beta)
+    sa, sb = _CHI_SIGNS[:, chi - 1]
+    return np.stack(
+        [
+            sa * 2.0 * p1 * c_plus,
+            sa * 2.0 * p1 * c_minus,
+            sb * 2.0 * p2 * c_plus,
+            sb * 2.0 * p2 * c_minus,
+        ],
+        axis=0,
+    )
 
 
 def one_shot_sweep_maxima(p, samples, seed, components=4):
@@ -36,11 +54,11 @@ def one_shot_sweep_maxima(p, samples, seed, components=4):
     )
     weights = rng.dirichlet(np.ones(components), size=samples)
     p1, p2 = 1.0 - p, p
-    mixed = np.einsum("sc,esc->es", weights, _component_correlators(chi, xi, p1, p2))
+    mixed = np.einsum("sc,esc->es", weights, sign_gather_correlators(chi, xi, p1, p2))
     max_mixture = float(np.max(operator_value(*mixed, p)))
     grid_chi = np.repeat(np.arange(1, 5), XI_GRID_POINTS)
     grid_xi = np.tile(xi_grid, 4)
-    grid = _component_correlators(grid_chi, grid_xi, p1, p2)
+    grid = sign_gather_correlators(grid_chi, grid_xi, p1, p2)
     return max_mixture, max(max_mixture, float(np.max(operator_value(*grid, p))))
 
 
@@ -80,6 +98,34 @@ class TestExtremalCorrelators:
                 int(rng.integers(1, 5)), rng.uniform(-math.pi, math.pi), rng.uniform(0, 0.5)
             )
             assert np.max(np.abs(extremal_correlators(s).as_array())) <= 2.0
+
+
+class TestComponentCorrelators:
+    @pytest.mark.parametrize("beta", [math.pi / 4, 0.3, 1.2])
+    @pytest.mark.parametrize("p", [0.5, 0.35, 0.3264, 1e-3])
+    def test_arrays_equal_sign_gather(self, beta, p):
+        rng = np.random.default_rng(5)
+        chi = rng.integers(1, 5, size=(1000, 4))
+        xi = rng.uniform(-math.pi, math.pi, size=(1000, 4))
+        got = _component_correlators(chi, xi, 1.0 - p, p, beta)
+        assert np.array_equal(got, sign_gather_correlators(chi, xi, 1.0 - p, p, beta))
+        grid_chi = np.repeat(np.arange(1, 5), 7)
+        grid_xi = np.tile(np.linspace(-math.pi, math.pi, 7, endpoint=False), 4)
+        got = _component_correlators(grid_chi, grid_xi, 1.0 - p, p, beta)
+        assert np.array_equal(got, sign_gather_correlators(grid_chi, grid_xi, 1.0 - p, p, beta))
+
+    @given(
+        chi=st.integers(1, 4),
+        xi=st.floats(-4.0, 4.0),
+        p=st.floats(0.0, 0.5),
+        beta=st.floats(0.0, math.pi / 2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scalars_equal_sign_gather(self, chi, xi, p, beta):
+        got = _component_correlators(chi, xi, 1.0 - p, p, beta)
+        want = sign_gather_correlators(chi, xi, 1.0 - p, p, beta)
+        assert got.shape == want.shape == (4,)
+        assert np.array_equal(got, want)
 
 
 class TestMixtureCorrelators:
@@ -179,6 +225,8 @@ class TestBoundSweep:
         a = bound_sweep(0.35, 2 * SWEEP_CHUNK + 5, seed=8)
         assert a == bound_sweep(0.35, 2 * SWEEP_CHUNK + 5, seed=8)
         assert a.passed and a.samples == 2 * SWEEP_CHUNK + 5
+        # The value of the sign-gather kernel, bit for bit.
+        assert a.max_operator == 0.9100000000000004
 
     def test_peak_memory_bounded_by_chunk(self):
         # The one-shot sweep peaked at 230.8 MB here; chunks keep it flat in samples.
@@ -196,6 +244,12 @@ class TestBoundSweep:
         report = bound_sweep(0.2, 100, seed=1)
         data = json.loads(report.to_json())
         assert set(data) == {"p", "samples", "maxI", "bound", "pass", "seed"}
+
+    def test_report_json_rejects_nan(self):
+        report = SweepReport(p=0.3, samples=1, max_operator=math.nan, bound=0.84,
+                             passed=False, seed=0)
+        with pytest.raises(ValueError):
+            report.to_json()
 
 
 class TestGeneralBetaOperator:
