@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import ValidationError, require_finite
+from .kernel import (
+    BIAS,
+    TOL,
+    ValidationError,
+    require_distribution,
+    require_finite,
+    require_interval,
+)
 
 
 @dataclass(frozen=True)
@@ -46,11 +53,11 @@ def marginal_setting_prob(m: BiasModel) -> SettingReport:
 
 def md_bound_check(p_x_given_lambda: np.ndarray, l: float) -> bool:
     """True iff every conditional setting probability lies in [l, 1 - l]."""
-    if not 0.0 <= l <= 0.5:
-        raise ValidationError(f"l must be in [0, 0.5], got {l}")
+    require_interval("l", l, BIAS)
     p = np.asarray(p_x_given_lambda, dtype=float)
-    if p.shape != (2, 2) or np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-10:
-        raise ValidationError("p(x|lambda) rows must be 2x2 and sum to 1")
+    if p.shape != (2, 2):
+        raise ValidationError(f"p(x|lambda) must have shape (2, 2), got {p.shape}")
+    require_distribution("p(x|lambda) rows", p, axis=1)
     return bool(np.all(p >= l) and np.all(p <= 1.0 - l))
 
 
@@ -75,7 +82,7 @@ class ConstraintReport:
         )
 
 
-def constraint_report(model: BiasModel, tol: float = 1e-9) -> ConstraintReport:
+def constraint_report(model: BiasModel) -> ConstraintReport:
     """Measurement-independence verdict and the tightest bias bound the model obeys.
 
     max_l is the largest l with l <= p(x|lambda) <= 1 - l for all entries;
@@ -83,7 +90,7 @@ def constraint_report(model: BiasModel, tol: float = 1e-9) -> ConstraintReport:
     """
     setting = marginal_setting_prob(model)
     p = setting.p_x_given_lambda
-    independent = bool(np.max(np.abs(p[0] - p[1])) <= tol)
+    independent = bool(np.max(np.abs(p[0] - p[1])) <= TOL.check)
     return ConstraintReport(
         p_x1=setting.p_x1,
         p_lambda=setting.p_lambda,

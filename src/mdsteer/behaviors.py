@@ -18,8 +18,10 @@ import numpy as np
 # OUTCOMES is re-exported. projector and tensor are no longer called here, but
 # perfbench/tracing.py looks them up in this module by name.
 from .kernel import (  # noqa: F401
+    GAMMA,
     OUTCOME_SIGNS,
     OUTCOMES,
+    TILT,
     TOL,
     Direction,
     TwoQubitState,
@@ -27,7 +29,8 @@ from .kernel import (  # noqa: F401
     bell_phi_plus,
     projector,
     projectors,
-    require_finite,
+    require_distribution,
+    require_interval,
     tensor,
 )
 
@@ -44,15 +47,7 @@ class Behavior:
         p = np.asarray(self.probabilities, dtype=float)
         if p.shape != (2, 2, 2, 2):
             raise ValidationError(f"probabilities must have shape (2,2,2,2), got {p.shape}")
-        require_finite("probabilities", p)
-        if np.min(p) < -TOL.eq:
-            idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(p)), p.shape))
-            raise ValidationError(f"negative probability at [x,y,a,b]={idx}: {p[idx]}")
-        sums = p.sum(axis=(2, 3))
-        if np.max(np.abs(sums - 1.0)) > 1e-10:
-            bad = tuple(int(i) for i in np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape))
-            raise ValidationError(f"p(ab|xy) does not sum to 1 for (x,y)={bad}: {sums[bad]}")
-        object.__setattr__(self, "probabilities", p)
+        object.__setattr__(self, "probabilities", require_distribution("p(ab|xy)", p, (2, 3)))
 
     def to_json(self) -> str:
         return json.dumps({"probabilities": self.probabilities.tolist()})
@@ -116,8 +111,7 @@ def tilted_behavior(delta: float) -> Behavior:
     Bob measures sigma_x and cos(delta) sigma_z - sin(delta) sigma_x.
     Its CHSH value is 2 cos(delta) (1 + sin(delta)).
     """
-    if not 0.0 < delta <= math.pi / 6:
-        raise ValidationError(f"delta must be in (0, pi/6], got {delta}")
+    require_interval("delta", delta, TILT)
     x_dirs = (
         Direction(0.0, 0.0, 1.0),
         Direction(math.cos(delta), 0.0, -math.sin(delta)),
@@ -136,8 +130,7 @@ def randomness_behavior(gamma: float) -> Behavior:
     Bob: sin(3 gamma) sigma_z + cos(3 gamma) sigma_x and
     cos(pi/6 + gamma) sigma_z - sin(pi/6 + gamma) sigma_x.
     """
-    if not 0.0 <= gamma <= math.pi / 12:
-        raise ValidationError(f"gamma must be in [0, pi/12], got {gamma}")
+    require_interval("gamma", gamma, GAMMA)
     a2 = 2 * math.pi / 3 - 2 * gamma
     b2 = math.pi / 6 + gamma
     x_dirs = (

@@ -16,7 +16,7 @@ import numpy as np
 
 from .behaviors import Behavior, correlators, no_signalling_check
 from .inequality import CURVE_KINDS, local_bound, md_operator, violation
-from .kernel import Tolerances, ValidationError, require_finite
+from .kernel import Tolerances, ValidationError, require_count, require_finite
 
 if TYPE_CHECKING:
     from .optimize import CurvePoint
@@ -60,8 +60,7 @@ def _planar_angle(d) -> float:
 
 
 def _p_grid(args: argparse.Namespace) -> List[float]:
-    if args.steps < 1:
-        raise ValidationError(f"--steps must be >= 1, got {args.steps}")
+    require_count("--steps", args.steps, 1)
     require_finite("--p-min and --p-max", args.p_min, args.p_max)
     if args.steps == 1:
         return [args.p_min]
@@ -109,17 +108,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError, ValidationError, ValueError) as exc:
         print(f"error: cannot read behavior file: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        c = correlators(behavior)
-        op = md_operator(c, args.p)
-        bound = local_bound(args.p)
-        ns = no_signalling_check(behavior, tol=Tolerances.from_env().check)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    c = correlators(behavior)
+    ns = no_signalling_check(behavior, tol=Tolerances.from_env().check)
     record = {
-        "I": op,
-        "bound": bound,
+        "I": md_operator(c, args.p),
+        "bound": local_bound(args.p),
         "delta": violation(c, args.p),
         "noSignalling": {"maxDeviation": ns.max_deviation, "pass": ns.passed},
     }
@@ -130,14 +123,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_curve(args: argparse.Namespace) -> int:
     from .optimize import SearchConfig
 
-    try:
-        grid = _p_grid(args)
-        config = SearchConfig(seed=args.seed)
-        points = curve(args.kind, grid, delta=args.delta, gamma=args.gamma, config=config)
-        header, rows = _curve_rows(args.kind, points)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    grid = _p_grid(args)
+    config = SearchConfig(seed=args.seed)
+    points = curve(args.kind, grid, delta=args.delta, gamma=args.gamma, config=config)
+    header, rows = _curve_rows(args.kind, points)
     try:
         _write_table(args.out, header, rows, args.format)
     except OSError as exc:
@@ -147,11 +136,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        report = bound_sweep(args.p, args.samples, args.seed)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    report = bound_sweep(args.p, args.samples, args.seed)
     text = report.to_json()
     if args.out is not None:
         try:
@@ -167,12 +152,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_adversary(args: argparse.Namespace) -> int:
     from .adversary import BiasModel
 
-    try:
-        report = constraint_report(BiasModel(args.theta, args.phi, args.delta))
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    print(report.to_json())
+    print(constraint_report(BiasModel(args.theta, args.phi, args.delta)).to_json())
     return EXIT_OK
 
 
@@ -218,7 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValidationError as exc:  # the one exit for every command's domain errors
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -11,15 +11,10 @@ from __future__ import annotations
 import math
 
 from .behaviors import CorrelatorVector
-from .kernel import ValidationError
+from .kernel import BELL_TILT, BIAS, GAMMA, TILT, UNIT, require_interval
 
 # Figure curves over p: optimize.curve computes them and the CLI offers them.
 CURVE_KINDS = ("local", "prbox", "quantum", "tilted", "randomness")
-
-
-def _check_p(p: float) -> None:
-    if not 0.0 <= p <= 0.5:
-        raise ValidationError(f"measurement dependence parameter must be in [0, 0.5], got {p}")
 
 
 def operator_value(e11, e12, e21, e22, p: float, beta: float = math.pi / 4):
@@ -45,13 +40,13 @@ def md_operator(c: CorrelatorVector, p: float) -> float:
     alpha1 = (p<x1y1> + (1-p)<x2y1>)^2 + (p<x1y2> + (1-p)<x2y2>)^2
     alpha2 = (p<x1y1> - (1-p)<x2y1>)^2 + (p<x1y2> - (1-p)<x2y2>)^2
     """
-    _check_p(p)
+    require_interval("p", p, BIAS)
     return operator_value(c.e11, c.e12, c.e21, c.e22, p)
 
 
 def local_bound(p: float) -> float:
     """Hidden-variable bound 4 p (1 - p); equals 1 at p = 0.5, 0 at p = 0."""
-    _check_p(p)
+    require_interval("p", p, BIAS)
     return 4.0 * p * (1.0 - p)
 
 
@@ -66,15 +61,14 @@ def violation(c: CorrelatorVector, p: float) -> float:
 
 def pr_closed_form(p: float) -> float:
     """Operator value for PR box correlators: 2 sqrt(2 - 4 p (1 - p))."""
-    _check_p(p)
+    require_interval("p", p, BIAS)
     return 2.0 * math.sqrt(2.0 - 4.0 * p * (1.0 - p))
 
 
 def tilted_closed_form(delta: float, p: float) -> float:
     """Operator value for the tilted quantum-extremal behavior at angle delta."""
-    if not 0.0 < delta <= math.pi / 6:
-        raise ValidationError(f"delta must be in (0, pi/6], got {delta}")
-    _check_p(p)
+    require_interval("delta", delta, TILT)
+    require_interval("p", p, BIAS)
     c2 = math.cos(delta) ** 2
     s = math.sin(delta)
     term1 = math.sqrt(c2 * ((2.0 * (p - 1.0) * s + p) ** 2 + (p - 1.0) ** 2))
@@ -84,15 +78,13 @@ def tilted_closed_form(delta: float, p: float) -> float:
 
 def tilted_bell_value(c: CorrelatorVector, delta: float) -> float:
     """Tilted Bell functional <x1y1> + (<x1y2> + <x2y1>)/sin(delta) - <x2y2>/cos(2 delta)."""
-    if not 0.0 < delta < math.pi / 4:
-        raise ValidationError(f"delta must be in (0, pi/4), got {delta}")
+    require_interval("delta", delta, BELL_TILT)
     return c.e11 + (c.e12 + c.e21) / math.sin(delta) - c.e22 / math.cos(2.0 * delta)
 
 
 def binary_entropy(q: float) -> float:
     """H_b(q) in bits; 0 at the endpoints."""
-    if not 0.0 <= q <= 1.0:
-        raise ValidationError(f"binary entropy argument must be in [0, 1], got {q}")
+    require_interval("binary entropy argument", q, UNIT)
     if q == 0.0 or q == 1.0:
         return 0.0
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
@@ -104,13 +96,9 @@ def randomness_rate(gamma: float) -> float:
     r = 1 + H_b[1/2 + s/2 - (3/sqrt(2)) cos((1/3) arccos(-s / (2 sqrt(2))))]
     with s = sin(3 gamma) + 3 cos(gamma + pi/6).
     """
-    if not 0.0 <= gamma <= math.pi / 12:
-        raise ValidationError(f"gamma must be in [0, pi/12], got {gamma}")
+    require_interval("gamma", gamma, GAMMA)
     s = math.sin(3.0 * gamma) + 3.0 * math.cos(gamma + math.pi / 6.0)
-    u = -s / (2.0 * math.sqrt(2.0))
-    if abs(u) > 1.0:
-        if abs(u) - 1.0 > 1e-12:
-            raise ValidationError(f"arccos argument {u} outside [-1, 1]")
-        u = math.copysign(1.0, u)  # rounding at the gamma = pi/12 endpoint
+    # s rises monotonically to 2 sqrt(2) at gamma = pi/12, so u < -1 only by rounding.
+    u = max(-s / (2.0 * math.sqrt(2.0)), -1.0)
     q = 0.5 + s / 2.0 - (3.0 / math.sqrt(2.0)) * math.cos(math.acos(u) / 3.0)
     return 1.0 + binary_entropy(q)

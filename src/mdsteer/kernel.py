@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -28,9 +28,10 @@ class ValidationError(ValueError):
 class Tolerances:
     """Numerical tolerances shared by all validation checks.
 
-    eq:    tolerance for equality comparisons (traces, norms).
+    eq:    tolerance for equality comparisons (traces, norms, negative probabilities).
     psd:   slack allowed on the smallest eigenvalue of a PSD matrix.
-    check: threshold for pass/fail style reports (e.g. no-signalling).
+    check: threshold for pass/fail style reports (no-signalling, oracle, independence).
+    Sums of probabilities and of traces have their own slack, in ``unnormalized``.
     """
 
     eq: float = 1e-12
@@ -47,9 +48,7 @@ class Tolerances:
             t = float(raw)
         except ValueError:
             raise ValidationError(f"MDSTEER_TOL must be a number, got {raw!r}") from None
-        require_finite("MDSTEER_TOL", t)
-        if t <= 0:
-            raise ValidationError(f"MDSTEER_TOL must be positive, got {raw!r}")
+        require_interval("MDSTEER_TOL", t, POSITIVE)
         return cls(eq=t, psd=t, check=t)
 
 
@@ -71,10 +70,58 @@ def require_finite(what: str, *values: float | np.ndarray) -> None:
             raise ValidationError(f"{what} must be finite, got {v}")
 
 
-def require_seed(seed: int) -> None:
-    """Reject seeds that np.random.default_rng would refuse: non-integers and negatives."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+# An input domain (text as messages print it, lo, hi); "(" or ")" in text marks an open end.
+# Each domain is written once, here; the comments name the inputs it bounds.
+Interval = Tuple[str, float, float]
+UNIT: Interval = ("[0, 1]", 0.0, 1.0)  # probabilities p(+|x), q; eta of a mixture
+OPEN_UNIT: Interval = ("(0, 1)", 0.0, 1.0)  # eta of the weight; p(x1)
+POSITIVE: Interval = ("(0, inf)", 0.0, math.inf)  # eta ratio, tolerances
+BIAS: Interval = ("[0, 0.5]", 0.0, 0.5)  # measurement dependence p, bias bound l
+SWEEP_BIAS: Interval = ("(0, 0.5]", 0.0, 0.5)  # p of the oracle's sweep
+RIGHT_ANGLE: Interval = ("[0, pi/2]", 0.0, math.pi / 2)  # state angle theta, strategy beta
+OPEN_RIGHT_ANGLE: Interval = ("(0, pi/2)", 0.0, math.pi / 2)  # beta of the general operator
+TILT: Interval = ("(0, pi/6]", 0.0, math.pi / 6)  # delta of the tilted behavior
+BELL_TILT: Interval = ("(0, pi/4)", 0.0, math.pi / 4)  # delta of the tilted Bell functional
+GAMMA: Interval = ("[0, pi/12]", 0.0, math.pi / 12)  # gamma of the randomness behavior
+
+_NORM_SLACK = 1e-10  # largest |sum - 1| of a normalized distribution, or of traces
+
+
+def require_interval(what: str, value: float, domain: Interval) -> None:
+    """Reject a scalar outside domain; NaN fails every comparison, so it is rejected too."""
+    text, lo, hi = domain
+    if lo < value < hi or (value == lo and text[0] == "[") or (value == hi and text[-1] == "]"):
+        return
+    raise ValidationError(f"{what} must be in {text}, got {value}")
+
+
+def unnormalized(sums: float | np.ndarray) -> bool | np.ndarray:
+    """Whether each sum of probabilities (or of traces) misses 1 by more than _NORM_SLACK."""
+    return abs(sums - 1.0) > _NORM_SLACK
+
+
+def require_distribution(what: str, probs, axis=None) -> np.ndarray:
+    """probs as a float array: finite, >= -TOL.eq, summing to 1 over axis (None: all of it)."""
+    p = np.asarray(probs, dtype=float)
+    sums = p.sum(axis=axis)
+    bad = unnormalized(sums)
+    # NaN fails the >= test and an infinity puts its sum off 1, so these two
+    # reductions screen every fault; the messages below name the first one.
+    if not p.min(initial=0.0) >= -TOL.eq or bad.any():
+        require_finite(what, p)
+        if p.min(initial=0.0) < -TOL.eq:
+            idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(p)), p.shape))
+            raise ValidationError(f"{what} must be non-negative, got {p[idx]} at index {idx}")
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])  # () when axis is None
+        where = f" at index {idx}" if idx else ""
+        raise ValidationError(f"{what} must sum to 1, got {sums[idx]}{where}")
+    return p
+
+
+def require_count(what: str, value: int, least: int = 0) -> None:
+    """Reject anything but an integer >= least; seeds use least = 0, as np.random.default_rng."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 I2 = np.eye(2, dtype=complex)
@@ -94,7 +141,7 @@ class Direction:
     def __post_init__(self) -> None:
         require_finite("direction", self.nx, self.ny, self.nz)
         norm2 = self.nx**2 + self.ny**2 + self.nz**2
-        if abs(norm2 - 1.0) > 1e-12:
+        if abs(norm2 - 1.0) > TOL.eq:
             raise ValidationError(
                 f"direction ({self.nx}, {self.ny}, {self.nz}) is not a unit vector"
             )
@@ -206,8 +253,7 @@ def pure_state(theta: float) -> TwoQubitState:
 
     theta must lie in [0, pi/2]; theta = pi/4 is maximally entangled.
     """
-    if not 0.0 <= theta <= math.pi / 2:
-        raise ValidationError(f"theta must be in [0, pi/2], got {theta}")
+    require_interval("theta", theta, RIGHT_ANGLE)
     psi = np.zeros(4, dtype=complex)
     psi[0] = math.cos(theta)
     psi[3] = -math.sin(theta)

@@ -34,11 +34,14 @@ from .inequality import (
     violation,
 )
 from .kernel import (  # noqa: F401
+    BIAS,
+    POSITIVE,
+    RIGHT_ANGLE,
     Direction,
     ValidationError,
     pure_state,
-    require_finite,
-    require_seed,
+    require_count,
+    require_interval,
 )
 
 
@@ -50,8 +53,7 @@ class QuantumAnsatz:
     directions: Sequence[Direction]
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= math.pi / 2:
-            raise ValidationError(f"theta must be in [0, pi/2], got {self.theta}")
+        require_interval("theta", self.theta, RIGHT_ANGLE)
         if len(self.directions) != 4:
             raise ValidationError("exactly four measurement directions required")
 
@@ -75,14 +77,10 @@ class SearchConfig:
     max_iterations: int = 400
 
     def __post_init__(self) -> None:
-        require_seed(self.seed)
+        require_count("seed", self.seed)
         for name, least in (("restarts", 0), ("grid_density", 1), ("max_iterations", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < least:
-                raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
-        require_finite("tol", self.tol)
-        if self.tol <= 0:
-            raise ValidationError(f"tol must be positive, got {self.tol!r}")
+            require_count(name, getattr(self, name), least)
+        require_interval("tol", self.tol, POSITIVE)
 
 
 def minimize(fun, x0, **kwargs):
@@ -128,8 +126,7 @@ def _sphere_ansatz(params: np.ndarray) -> QuantumAnsatz:
 
 def quantum_max(p: float, config: SearchConfig = SearchConfig()) -> CurvePoint:
     """Best operator value found over the pure-state ansatz family."""
-    if not 0.0 <= p <= 0.5:
-        raise ValidationError(f"p must be in [0, 0.5], got {p}")
+    require_interval("p", p, BIAS)
     to_ansatz = _sphere_ansatz if config.full_sphere else _planar_ansatz
     n_angle_params = 8 if config.full_sphere else 4
 
@@ -199,8 +196,7 @@ def curve(
     if kind not in CURVE_KINDS:
         raise ValidationError(f"unknown curve kind {kind!r}; expected one of {CURVE_KINDS}")
     for p in p_grid:
-        if not 0.0 <= p <= 0.5:
-            raise ValidationError(f"grid value {p} outside [0, 0.5]")
+        require_interval("grid value", p, BIAS)
 
     if kind == "local":
         return [CurvePoint(p=p, value=local_bound(p)) for p in p_grid]

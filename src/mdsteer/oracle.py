@@ -24,7 +24,17 @@ import numpy as np
 
 from .behaviors import CorrelatorVector
 from .inequality import local_bound, operator_value
-from .kernel import ValidationError, require_seed
+from .kernel import (
+    OPEN_RIGHT_ANGLE,
+    RIGHT_ANGLE,
+    SWEEP_BIAS,
+    TOL,
+    ValidationError,
+    require_count,
+    require_distribution,
+    require_finite,
+    require_interval,
+)
 
 # Sign of Alice's response, indexed [setting][chi - 1]: rows x1, x2; columns chi = 1..4.
 _CHI_SIGNS = np.array([[+1.0, -1.0, +1.0, -1.0], [+1.0, -1.0, -1.0, +1.0]])
@@ -45,10 +55,9 @@ class ExtremalStrategy:
     def __post_init__(self) -> None:
         if self.chi not in (1, 2, 3, 4):
             raise ValidationError(f"chi must be in {{1,2,3,4}}, got {self.chi}")
-        if not 0.0 <= self.beta <= math.pi / 2:
-            raise ValidationError(f"beta must be in [0, pi/2], got {self.beta}")
-        if abs(self.p1 + self.p2 - 1.0) > 1e-12:
-            raise ValidationError(f"p1 + p2 must equal 1, got {self.p1 + self.p2}")
+        require_finite("xi", self.xi)
+        require_interval("beta", self.beta, RIGHT_ANGLE)
+        require_distribution("(p1, p2)", (self.p1, self.p2))
 
     @classmethod
     def from_md_parameter(cls, chi: int, xi: float, p: float, beta: float = math.pi / 4):
@@ -61,11 +70,7 @@ class StrategyMixture:
     weights: List[Tuple[ExtremalStrategy, float]]
 
     def __post_init__(self) -> None:
-        ws = [w for _, w in self.weights]
-        if any(w < 0 for w in ws):
-            raise ValidationError("mixture weights must be non-negative")
-        if abs(sum(ws) - 1.0) > 1e-10:
-            raise ValidationError(f"mixture weights must sum to 1, got {sum(ws)}")
+        require_distribution("mixture weights", [w for _, w in self.weights])
 
 
 def extremal_correlators(s: ExtremalStrategy) -> CorrelatorVector:
@@ -94,10 +99,8 @@ def general_beta_operator(c: CorrelatorVector, p1: float, p2: float, beta: float
     hidden-variable bound becomes 4 p1 p2 sin(2 beta); at beta = pi/4 this
     reduces to md_operator with (p1, p2) = (1 - p, p).
     """
-    if abs(p1 + p2 - 1.0) > 1e-12:
-        raise ValidationError(f"p1 + p2 must equal 1, got {p1 + p2}")
-    if not 0.0 < beta < math.pi / 2:
-        raise ValidationError(f"beta must be in (0, pi/2), got {beta}")
+    require_distribution("(p1, p2)", (p1, p2))
+    require_interval("beta", beta, OPEN_RIGHT_ANGLE)
     return operator_value(c.e11, c.e12, c.e21, c.e22, p2, beta)
 
 
@@ -157,11 +160,9 @@ def bound_sweep(p: float, samples: int, seed: int, components: int = 4) -> Sweep
     memory is bounded by the chunk size whatever ``samples`` is; a run of at
     most SWEEP_CHUNK samples is a single chunk.
     """
-    if not 0.0 < p <= 0.5:
-        raise ValidationError(f"p must be in (0, 0.5], got {p}")
-    if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
-    require_seed(seed)
+    require_interval("p", p, SWEEP_BIAS)
+    require_count("samples", samples, 1)
+    require_count("seed", seed)
     rng = np.random.default_rng(seed)
     xi_grid = np.linspace(-math.pi, math.pi, XI_GRID_POINTS, endpoint=False)
     p1, p2 = 1.0 - p, p
@@ -193,6 +194,6 @@ def bound_sweep(p: float, samples: int, seed: int, components: int = 4) -> Sweep
         samples=samples,
         max_operator=max_operator,
         bound=bound,
-        passed=max_operator <= bound + 1e-9,
+        passed=max_operator <= bound + TOL.check,
         seed=seed,
     )

@@ -20,16 +20,23 @@ from .behaviors import Behavior
 # projector, tensor and partial_trace_alice are no longer called here, but
 # perfbench/tracing.py looks them up in this module by name.
 from .kernel import (  # noqa: F401
+    BIAS,
+    OPEN_UNIT,
     OUTCOMES,
-    TOL,
+    POSITIVE,
+    UNIT,
     Direction,
+    Interval,
     TwoQubitState,
     ValidationError,
     is_psd,
     partial_trace_alice,
     projector,
     projectors,
+    require_distribution,
+    require_interval,
     tensor,
+    unnormalized,
 )
 
 SETTINGS = (1, 2)
@@ -66,10 +73,8 @@ class Assemblage:
                 if not psd[ix, ia]:
                     raise ValidationError(f"element (a={a}, x={x}) is not PSD")
             trace_sum = traces[ix, 0] + traces[ix, 1]
-            if abs(trace_sum - 1.0) > 1e-10:
-                raise ValidationError(
-                    f"traces for x={x} sum to {trace_sum}, expected 1"
-                )
+            if unnormalized(trace_sum):
+                raise ValidationError(f"traces for x={x} sum to {trace_sum}, expected 1")
         object.__setattr__(self, "elements", elems)
 
     def outcome_probability(self, a: int, x: int) -> float:
@@ -102,14 +107,9 @@ class MdLhsModel:
             raise ValidationError(f"p_a_given_x_lambda must have shape (2, {n}, 2)")
         if states.shape != (n, 2, 2, 2):
             raise ValidationError(f"states must have shape ({n}, 2, 2, 2)")
-        if np.min(plx) < -TOL.eq or np.min(pax) < -TOL.eq:
-            raise ValidationError("model probabilities must be non-negative")
-        if np.max(np.abs(plx.sum(axis=1) - 1.0)) > 1e-10:
-            raise ValidationError("p(lambda|x) must sum to 1 for each x")
-        if np.max(np.abs(pax.sum(axis=2) - 1.0)) > 1e-10:
-            raise ValidationError("p(a|x,lambda) must sum to 1 for each (x, lambda)")
-        traces = np.trace(states, axis1=-2, axis2=-1).real
-        invalid = ~is_psd(states) | (np.abs(traces - 1.0) > 1e-10)
+        require_distribution("p(lambda|x)", plx, axis=1)
+        require_distribution("p(a|x,lambda)", pax, axis=2)
+        invalid = ~is_psd(states) | unnormalized(np.trace(states, axis1=-2, axis2=-1).real)
         if invalid.any():
             lam, ix = np.argwhere(invalid)[0]  # the first in (lambda, x) order
             raise ValidationError(f"states[{lam}][{ix}] is not a valid density matrix")
@@ -169,17 +169,18 @@ class WeightParams:
     p_lambda_x2: np.ndarray
 
     def __post_init__(self) -> None:
-        for x in SETTINGS:
-            for a in OUTCOMES:
-                v = self.eta.get((a, x))
-                if v is None or not 0.0 < v < 1.0:
-                    raise ValidationError(f"eta[(a={a}, x={x})] must lie strictly in (0, 1)")
-        for name, dist in (("p_lambda_x1", self.p_lambda_x1), ("p_lambda_x2", self.p_lambda_x2)):
-            d = np.asarray(dist, dtype=float)
-            if np.min(d) < -TOL.eq or abs(d.sum() - 1.0) > 1e-10:
-                raise ValidationError(f"{name} is not a normalized distribution")
+        _require_eta(self.eta, OPEN_UNIT)
+        require_distribution("p_lambda_x1", self.p_lambda_x1)
+        require_distribution("p_lambda_x2", self.p_lambda_x2)
         if len(self.p_lambda_x1) != len(self.p_lambda_x2):
             raise ValidationError("the two hidden-variable distributions must share an alphabet")
+
+
+def _require_eta(eta: Dict[AssemblageKey, float], domain: Interval) -> None:
+    """Every eta^{a|x} in domain, in (x, a) order; a missing one reads as NaN, which fails."""
+    for x in SETTINGS:
+        for a in OUTCOMES:
+            require_interval(f"eta[(a={a}, x={x})]", eta.get((a, x), np.nan), domain)
 
 
 def _assemblage(sigma: np.ndarray) -> Assemblage:
@@ -246,23 +247,12 @@ def mix_assemblages(
     """Convex mixture (1 - eta^{a|x}) steerable + eta^{a|x} mdlhs, elementwise.
 
     With outcome-dependent eta the per-setting trace normalization can break;
-    that case raises rather than silently renormalizing.
+    Assemblage then raises rather than silently renormalizing.
     """
-    elements = {}
-    for x in SETTINGS:
-        trace_sum = 0.0
-        for a in OUTCOMES:
-            w = eta.get((a, x))
-            if w is None or not 0.0 <= w <= 1.0:
-                raise ValidationError(f"eta[(a={a}, x={x})] must lie in [0, 1]")
-            m = (1.0 - w) * steerable.elements[(a, x)] + w * mdlhs.elements[(a, x)]
-            elements[(a, x)] = m
-            trace_sum += np.trace(m).real
-        if abs(trace_sum - 1.0) > 1e-10:
-            raise ValidationError(
-                f"mixture violates normalization for x={x}: traces sum to {trace_sum}"
-            )
-    return Assemblage(elements)
+    _require_eta(eta, UNIT)
+    return Assemblage(
+        {k: (1.0 - eta[k]) * m + eta[k] * mdlhs.elements[k] for k, m in steerable.elements.items()}
+    )
 
 
 def md_weight(params: WeightParams) -> float:
@@ -277,12 +267,9 @@ def md_weight(params: WeightParams) -> float:
 
 def weight_limit_values(l: float, p_x1: float, eta_ratio: float) -> Tuple[float, float]:
     """Weight values at the two extremes p(x1|lambda) = l and 1 - l."""
-    if not 0.0 <= l <= 0.5:
-        raise ValidationError(f"l must be in [0, 0.5], got {l}")
-    if not 0.0 < p_x1 < 1.0:
-        raise ValidationError(f"p(x1) must lie strictly in (0, 1), got {p_x1}")
-    if eta_ratio <= 0.0:
-        raise ValidationError(f"eta ratio must be positive, got {eta_ratio}")
+    require_interval("l", l, BIAS)
+    require_interval("p(x1)", p_x1, OPEN_UNIT)
+    require_interval("eta ratio", eta_ratio, POSITIVE)
     case_low = l / p_x1 - eta_ratio * (1.0 - l) / (1.0 - p_x1)
     case_high = (1.0 - l) / p_x1 - eta_ratio * l / (1.0 - p_x1)
     return case_low, case_high
@@ -296,13 +283,9 @@ def weight_bound(
     (1/eta^{-|x1}) [p(+|x2)(eta^{+|x2} + eta^{-|x2}) - p(+|x1)(eta^{+|x1} + eta^{-|x1})].
     With all eta equal this is 2 [p(+|x2) - p(+|x1)].
     """
-    for name, v in (("p(+|x1)", p_plus_x1), ("p(+|x2)", p_plus_x2)):
-        if not 0.0 <= v <= 1.0:
-            raise ValidationError(f"{name} must lie in [0, 1], got {v}")
-    for key in ((+1, 1), (-1, 1), (+1, 2), (-1, 2)):
-        v = eta.get(key)
-        if v is None or not 0.0 < v < 1.0:
-            raise ValidationError(f"eta[{key}] must lie strictly in (0, 1)")
+    require_interval("p(+|x1)", p_plus_x1, UNIT)
+    require_interval("p(+|x2)", p_plus_x2, UNIT)
+    _require_eta(eta, OPEN_UNIT)
     return (
         p_plus_x2 * (eta[(+1, 2)] + eta[(-1, 2)])
         - p_plus_x1 * (eta[(+1, 1)] + eta[(-1, 1)])

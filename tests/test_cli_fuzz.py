@@ -1,0 +1,115 @@
+"""CLI arguments drawn at random, down to the exit code: no exception escapes main.
+
+Every float goes in as ``--flag=value`` so that argparse reads "-inf" or
+"-1e+300" as a value rather than as an option. --steps and --samples are capped
+so that each run stays small; the quantum curve runs the optimizer and is left out.
+"""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mdsteer.behaviors import pr_box
+from mdsteer.cli import main
+
+# Any float at all, plus draws that land inside the domains the commands accept.
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-0.1, 0.6),
+    st.sampled_from([0.0, 0.5, np.pi / 12, np.pi / 6]),
+)
+OPTIONAL = st.one_of(st.none(), FLOATS)
+FUZZ = settings(max_examples=100, deadline=None)
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_failure(out, err):
+    """A refused command prints nothing on stdout and one error line on stderr."""
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.fixture(scope="module")
+def behavior_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("behaviors")
+    (root / "pr.json").write_text(pr_box().to_json())
+    (root / "nan.json").write_text(json.dumps({"probabilities": np.full((2, 2, 2, 2), np.nan).tolist()}))
+    return root
+
+
+@FUZZ
+@given(p=FLOATS, bad_file=st.booleans())
+def test_eval(behavior_files, p, bad_file):
+    path = behavior_files / ("nan.json" if bad_file else "pr.json")
+    code, out, err = run(["eval", "--in", str(path), f"--p={p!r}"])
+    assert code in ({1} if bad_file else {0, 2})  # 1 only for the file that cannot be read
+    if code == 0:
+        strict_json(out)
+    else:
+        check_failure(out, err)
+
+
+@FUZZ
+@given(p=FLOATS, samples=st.integers(-2, 2000), seed=st.integers(-2, 2**40))
+def test_oracle(p, samples, seed):
+    code, out, err = run(["oracle", f"--p={p!r}", f"--samples={samples}", f"--seed={seed}"])
+    assert code in {0, 2, 3}
+    if code == 2:
+        check_failure(out, err)
+    else:
+        strict_json(out)
+
+
+@FUZZ
+@given(theta=FLOATS, phi=FLOATS, delta=FLOATS)
+def test_adversary(theta, phi, delta):
+    code, out, err = run(["adversary", f"--theta={theta!r}", f"--phi={phi!r}", f"--delta={delta!r}"])
+    assert code in {0, 2}
+    if code == 0:
+        strict_json(out)
+    else:
+        check_failure(out, err)
+
+
+@FUZZ
+@given(
+    kind=st.sampled_from(["local", "prbox", "tilted", "randomness"]),
+    p_min=FLOATS,
+    p_max=FLOATS,
+    steps=st.integers(-2, 30),
+    delta=OPTIONAL,
+    gamma=OPTIONAL,
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_curve(kind, p_min, p_max, steps, delta, gamma, fmt):
+    argv = ["curve", "--kind", kind, f"--p-min={p_min!r}", f"--p-max={p_max!r}",
+            f"--steps={steps}", "--format", fmt]
+    argv += [] if delta is None else [f"--delta={delta!r}"]
+    argv += [] if gamma is None else [f"--gamma={gamma!r}"]
+    with np.errstate(all="ignore"):  # np.linspace over +-1e308 overflows before the grid check
+        code, out, err = run(argv)
+    assert code in {0, 2}
+    if code == 2:
+        check_failure(out, err)
+    elif fmt == "json":
+        assert len(strict_json(out)) == steps
+    else:
+        assert len(out.splitlines()) == steps + 1

@@ -1,6 +1,8 @@
-"""The lazy ``mdsteer`` namespace: the same public names as eager imports gave."""
+"""The lazy ``mdsteer`` namespace (the same public names as eager imports gave) and its sources."""
 
 import sys
+import tokenize
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +60,19 @@ def test_unknown_name_raises_attribute_error():
 
 def test_version_is_a_plain_attribute():
     assert mdsteer.__dict__["__version__"] == "0.1.0"
+
+
+def test_tolerances_live_in_kernel():
+    """No float literal below 1e-8 outside kernel.py: tolerances are written once, there."""
+    src = Path(mdsteer.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "kernel.py":
+            continue
+        with tokenize.open(path) as fh:
+            for tok in tokenize.generate_tokens(fh.readline):
+                if tok.type != tokenize.NUMBER or tok.string[-1] in "jJ":
+                    continue
+                if 0.0 < float(tok.string.replace("_", "")) < 1e-8:
+                    found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert not found, found

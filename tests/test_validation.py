@@ -1,0 +1,111 @@
+"""The one validation boundary in kernel: intervals, distributions, and the inputs they guard."""
+
+import math
+
+import numpy as np
+import pytest
+
+from mdsteer.adversary import md_bound_check
+from mdsteer.behaviors import CorrelatorVector
+from mdsteer.kernel import (
+    BIAS,
+    OPEN_RIGHT_ANGLE,
+    POSITIVE,
+    ValidationError,
+    require_distribution,
+    require_interval,
+)
+from mdsteer.oracle import ExtremalStrategy, StrategyMixture, general_beta_operator
+from mdsteer.steering import MdLhsModel, WeightParams, weight_limit_values
+
+NAN, INF = math.nan, math.inf
+C = CorrelatorVector(0.1, 0.2, 0.3, 0.4)
+ETA = {(a, x): 0.5 for a in (+1, -1) for x in (1, 2)}
+MIXED = np.broadcast_to(np.eye(2) / 2, (2, 2, 2, 2)).astype(complex)
+
+
+class TestRequireInterval:
+    @pytest.mark.parametrize("value", [0.0, 0.25, 0.5])
+    def test_closed_ends_admitted(self, value):
+        require_interval("p", value, BIAS)
+
+    @pytest.mark.parametrize("value", [0.0, math.pi / 2])
+    def test_open_ends_rejected(self, value):
+        with pytest.raises(ValidationError, match=r"^beta must be in \(0, pi/2\), got "):
+            require_interval("beta", value, OPEN_RIGHT_ANGLE)
+
+    @pytest.mark.parametrize("value", [NAN, INF, -INF, -1e-300, 0.5000000000000001])
+    def test_non_finite_and_outside_rejected(self, value):
+        with pytest.raises(ValidationError, match=r"^p must be in \[0, 0.5\], got "):
+            require_interval("p", value, BIAS)
+
+    def test_infinite_open_end(self):
+        require_interval("ratio", 1e308, POSITIVE)
+        with pytest.raises(ValidationError):
+            require_interval("ratio", INF, POSITIVE)
+
+
+class TestRequireDistribution:
+    def test_returns_float_array(self):
+        out = require_distribution("w", [0.25, 0.75])
+        assert out.dtype == float and out.tolist() == [0.25, 0.75]
+
+    def test_each_row_is_one_distribution(self):
+        require_distribution("rows", np.array([[0.5, 0.5], [0.9, 0.1]]), axis=1)
+        with pytest.raises(ValidationError, match=r"^rows must sum to 1, got 1.1 at index \(1,\)$"):
+            require_distribution("rows", np.array([[0.5, 0.5], [0.9, 0.2]]), axis=1)
+
+    def test_whole_array_sum_has_no_index(self):
+        with pytest.raises(ValidationError, match=r"^w must sum to 1, got 0.0$"):
+            require_distribution("w", [])
+
+    def test_negative_entry_located(self):
+        with pytest.raises(ValidationError, match=r"non-negative, got -0.5 at index \(1,\)"):
+            require_distribution("w", [1.5, -0.5])
+
+    def test_slack(self):
+        require_distribution("w", [1.0 + 5e-11, -5e-13])
+        with pytest.raises(ValidationError):
+            require_distribution("w", [1.0 + 2e-10, 0.0])
+
+
+# Entry points whose hand-written checks let NaN through, since abs(nan - 1) > tol and
+# nan < 0 are both false; an infinite xi has no check of its own to fail.
+NON_FINITE = {
+    "ExtremalStrategy p1/p2": lambda: ExtremalStrategy(1, 0.0, p1=NAN, p2=NAN),
+    "ExtremalStrategy xi nan": lambda: ExtremalStrategy(1, NAN),
+    "ExtremalStrategy xi inf": lambda: ExtremalStrategy(1, INF),
+    "StrategyMixture weight": lambda: StrategyMixture([(ExtremalStrategy(1, 0.0), NAN)]),
+    "general_beta_operator": lambda: general_beta_operator(C, NAN, NAN, 0.5),
+    "MdLhsModel p_lambda_given_x": lambda: MdLhsModel(
+        np.array([[NAN, 0.5], [0.5, 0.5]]), np.full((2, 2, 2), 0.5), MIXED
+    ),
+    "MdLhsModel p_a_given_x_lambda": lambda: MdLhsModel(
+        np.full((2, 2), 0.5), np.array([[[0.5, 0.5]] * 2, [[0.5, 0.5], [NAN, 0.5]]]), MIXED
+    ),
+    "WeightParams": lambda: WeightParams(ETA, np.array([NAN, NAN]), np.array([0.5, 0.5])),
+    "weight_limit_values eta_ratio": lambda: weight_limit_values(0.3, 0.5, NAN),
+    "md_bound_check": lambda: md_bound_check(np.full((2, 2), NAN), 0.1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_input_rejected(case):
+    with pytest.raises(ValidationError):
+        NON_FINITE[case]()
+
+
+class TestSettingProbabilityPair:
+    """Only p1 + p2 was checked, so a pair outside [0, 1] with the right sum got through."""
+
+    def test_strategy_rejects_out_of_range_pair(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            ExtremalStrategy(1, 0.0, p1=1.5, p2=-0.5)
+
+    def test_general_operator_rejects_out_of_range_pair(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            general_beta_operator(C, 1.5, -0.5, 0.5)
+
+    def test_endpoint_pair_still_accepted(self):
+        ExtremalStrategy(1, 0.0, p1=1.0, p2=0.0)
+        general_beta_operator(C, 1.0, 0.0, 0.5)
