@@ -27,6 +27,7 @@ from .kernel import (  # noqa: F401
     TwoQubitState,
     ValidationError,
     bell_phi_plus,
+    frozen_copy,
     projector,
     projectors,
     require_distribution,
@@ -44,7 +45,7 @@ class Behavior:
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probabilities, dtype=float)
+        p = frozen_copy(self.probabilities, float)
         if p.shape != (2, 2, 2, 2):
             raise ValidationError(f"probabilities must have shape (2,2,2,2), got {p.shape}")
         object.__setattr__(self, "probabilities", require_distribution("p(ab|xy)", p, (2, 3)))

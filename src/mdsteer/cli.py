@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
@@ -25,6 +26,9 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_DOMAIN = 2
 EXIT_BOUND = 3
+
+# A negative number that argparse, which only lets "-5" and "-.5" through, reads as an option.
+_NEGATIVE_NUMBER = re.compile(r"-(inf|infinity|nan|\.?\d[\d.]*(e[-+]?\d+)?)", re.IGNORECASE)
 
 
 # The search and report layers are imported by the command that runs them,
@@ -197,6 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # "--p -1e-3" -> "--p=-1e-3"
+        if argv[i - 1].startswith("--") and _NEGATIVE_NUMBER.fullmatch(argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -118,6 +118,13 @@ def require_distribution(what: str, probs, axis=None) -> np.ndarray:
     return p
 
 
+def frozen_copy(values, dtype) -> np.ndarray:
+    """A read-only C-ordered copy of values: a validated array that no caller can change."""
+    out = np.array(values, dtype=dtype, order="C")
+    out.setflags(write=False)
+    return out
+
+
 def require_count(what: str, value: int, least: int = 0) -> None:
     """Reject anything but an integer >= least; seeds use least = 0, as np.random.default_rng."""
     if not isinstance(value, (int, np.integer)) or value < least:
@@ -233,7 +240,7 @@ class TwoQubitState:
     density: np.ndarray
 
     def __post_init__(self) -> None:
-        rho = np.asarray(self.density, dtype=complex)
+        rho = frozen_copy(self.density, complex)
         if rho.shape != (4, 4):
             raise ValidationError(f"density must be 4x4, got shape {rho.shape}")
         if not is_hermitian(rho):

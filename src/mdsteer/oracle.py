@@ -42,6 +42,8 @@ _CHI_SIGNS = np.array([[+1.0, -1.0, +1.0, -1.0], [+1.0, -1.0, -1.0, +1.0]])
 XI_GRID_POINTS = 720
 # Samples drawn and evaluated at once by bound_sweep; bounds its memory.
 SWEEP_CHUNK = 1 << 16
+# Extremal strategies mixed in each sample of bound_sweep.
+SWEEP_COMPONENTS = 4
 
 
 @dataclass(frozen=True)
@@ -148,10 +150,10 @@ def _component_correlators(
     return out
 
 
-def bound_sweep(p: float, samples: int, seed: int, components: int = 4) -> SweepReport:
+def bound_sweep(p: float, samples: int, seed: int) -> SweepReport:
     """Sample random strategy mixtures and report the largest operator value.
 
-    Every sample mixes ``components`` extremal strategies with Dirichlet
+    Every sample mixes SWEEP_COMPONENTS extremal strategies with Dirichlet
     weights; response types are uniform over {1..4} and xi is drawn half the
     time from a uniform 720-point grid and half the time uniformly from
     [-pi, pi). All pure grid strategies are also evaluated as singleton
@@ -170,14 +172,14 @@ def bound_sweep(p: float, samples: int, seed: int, components: int = 4) -> Sweep
     max_mixture = -math.inf
     for start in range(0, samples, SWEEP_CHUNK):
         n = min(SWEEP_CHUNK, samples - start)
-        chi = rng.integers(1, 5, size=(n, components))
-        use_grid = rng.uniform(size=(n, components)) < 0.5
+        chi = rng.integers(1, 5, size=(n, SWEEP_COMPONENTS))
+        use_grid = rng.uniform(size=(n, SWEEP_COMPONENTS)) < 0.5
         xi = np.where(
             use_grid,
-            xi_grid[rng.integers(0, XI_GRID_POINTS, size=(n, components))],
-            rng.uniform(-math.pi, math.pi, size=(n, components)),
+            xi_grid[rng.integers(0, XI_GRID_POINTS, size=(n, SWEEP_COMPONENTS))],
+            rng.uniform(-math.pi, math.pi, size=(n, SWEEP_COMPONENTS)),
         )
-        weights = rng.dirichlet(np.ones(components), size=n)
+        weights = rng.dirichlet(np.ones(SWEEP_COMPONENTS), size=n)
         mixed = np.einsum("sc,esc->es", weights, _component_correlators(chi, xi, p1, p2))
         max_mixture = max(max_mixture, float(np.max(operator_value(*mixed, p))))
 

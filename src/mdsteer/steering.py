@@ -10,7 +10,7 @@ steerability bound on that weight.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +29,7 @@ from .kernel import (  # noqa: F401
     Interval,
     TwoQubitState,
     ValidationError,
+    frozen_copy,
     is_psd,
     partial_trace_alice,
     projector,
@@ -44,38 +45,43 @@ SETTINGS = (1, 2)
 AssemblageKey = Tuple[int, int]  # (a, x) with a in {+1,-1}, x in {1,2}
 
 
+# Key (a, x) of each matrix of a stack sigma[x][a], in flat order: the one map between the two.
+_KEYS = tuple((a, x) for x in SETTINGS for a in OUTCOMES)
+
+
+def _keyed(sigma: np.ndarray) -> Dict[AssemblageKey, np.ndarray]:
+    """The matrices of a stack sigma[x][a] as views keyed by (a, x)."""
+    return dict(zip(_KEYS, sigma.reshape(len(_KEYS), 2, 2)))
+
+
 @dataclass(frozen=True)
 class Assemblage:
     """Map (a, x) -> unnormalized 2x2 PSD matrix sigma_{a|x}.
 
+    Stored once, as a read-only stack sigma[x][a]; ``elements`` holds views of it.
     Invariants: every element is PSD and the traces sum to 1 for each setting.
     """
 
     elements: Dict[AssemblageKey, np.ndarray]
+    _sigma: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        elems = {}
-        for x in SETTINGS:
-            for a in OUTCOMES:
-                if (a, x) not in self.elements:
-                    raise ValidationError(f"missing assemblage element for (a={a}, x={x})")
-                m = np.asarray(self.elements[(a, x)], dtype=complex)
-                if m.shape != (2, 2):
-                    raise ValidationError(f"element (a={a}, x={x}) must be 2x2")
-                elems[(a, x)] = m
-        # PSD and trace checks run on the stack sigma[x][a], after every element is
-        # present and 2x2; their faults are reported in the (x, a) order of the loop.
-        sigma = np.array(list(elems.values())).reshape(2, 2, 2, 2)
-        psd = is_psd(sigma)
-        traces = np.trace(sigma, axis1=-2, axis2=-1).real
-        for ix, x in enumerate(SETTINGS):
-            for ia, a in enumerate(OUTCOMES):
-                if not psd[ix, ia]:
-                    raise ValidationError(f"element (a={a}, x={x}) is not PSD")
-            trace_sum = traces[ix, 0] + traces[ix, 1]
-            if unnormalized(trace_sum):
+        for a, x in _KEYS:
+            if (a, x) not in self.elements:
+                raise ValidationError(f"missing assemblage element for (a={a}, x={x})")
+            if np.asarray(self.elements[(a, x)]).shape != (2, 2):
+                raise ValidationError(f"element (a={a}, x={x}) must be 2x2")
+        flat = frozen_copy([self.elements[k] for k in _KEYS], complex)
+        psd = is_psd(flat)
+        traces = np.trace(flat, axis1=-2, axis2=-1).real
+        # Faults are reported in _KEYS order; a setting's traces are summed at its last element.
+        for i, (a, x) in enumerate(_KEYS):
+            if not psd[i]:
+                raise ValidationError(f"element (a={a}, x={x}) is not PSD")
+            if a == OUTCOMES[-1] and unnormalized(trace_sum := traces[i - 1] + traces[i]):
                 raise ValidationError(f"traces for x={x} sum to {trace_sum}, expected 1")
-        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "elements", _keyed(flat))
+        object.__setattr__(self, "_sigma", flat.reshape(2, 2, 2, 2))
 
     def outcome_probability(self, a: int, x: int) -> float:
         """p(a|x) = Tr sigma_{a|x}."""
@@ -90,6 +96,7 @@ class MdLhsModel:
       p_lambda_given_x[x][lam]   shape (2, n)
       p_a_given_x_lambda[x][lam][a]  shape (2, n, 2), a index 0 <-> +1
       states[lam][x]             shape (n, 2, 2, 2) complex densities
+    The model keeps read-only C-ordered copies of them.
     """
 
     p_lambda_given_x: np.ndarray
@@ -97,9 +104,9 @@ class MdLhsModel:
     states: np.ndarray
 
     def __post_init__(self) -> None:
-        plx = np.asarray(self.p_lambda_given_x, dtype=float)
-        pax = np.asarray(self.p_a_given_x_lambda, dtype=float)
-        states = np.asarray(self.states, dtype=complex)
+        plx = frozen_copy(self.p_lambda_given_x, float)
+        pax = frozen_copy(self.p_a_given_x_lambda, float)
+        states = frozen_copy(self.states, complex)
         n = plx.shape[1] if plx.ndim == 2 else 0
         if plx.shape != (2, n) or n == 0:
             raise ValidationError("p_lambda_given_x must have shape (2, n), n >= 1")
@@ -122,19 +129,14 @@ class MdLhsModel:
         return self.p_lambda_given_x.shape[1]
 
     def to_json(self) -> str:
-        states = [
-            [
-                [[z.real, z.imag] for z in self.states[lam, ix].reshape(4)]
-                for ix in range(2)
-            ]
-            for lam in range(self.n_lambdas)
-        ]
+        # states[lam][x] as its four entries in row order, each a [re, im] pair.
+        pairs = self.states.view(float).reshape(self.n_lambdas, 2, 4, 2)
         return json.dumps(
             {
                 "lambdas": self.n_lambdas,
                 "pLambdaGivenX": self.p_lambda_given_x.tolist(),
                 "pAGivenXLambda": self.p_a_given_x_lambda.tolist(),
-                "states": states,
+                "states": pairs.tolist(),
             }
         )
 
@@ -145,15 +147,12 @@ class MdLhsModel:
             n = int(data["lambdas"])
             plx = np.array(data["pLambdaGivenX"], dtype=float)
             pax = np.array(data["pAGivenXLambda"], dtype=float)
-            raw_states = data["states"]
-        except (KeyError, TypeError) as exc:
+            pairs = np.array(data["states"], dtype=float)
+            if pairs.shape != (n, 2, 4, 2):
+                raise ValueError(f"states must have shape ({n}, 2, 4, 2), got {pairs.shape}")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed MD-LHS model JSON: {exc}") from exc
-        states = np.empty((n, 2, 2, 2), dtype=complex)
-        for lam in range(n):
-            for ix in range(2):
-                flat = [complex(re, im) for re, im in raw_states[lam][ix]]
-                states[lam, ix] = np.array(flat).reshape(2, 2)
-        return cls(plx, pax, states)
+        return cls(plx, pax, pairs.view(complex).reshape(n, 2, 2, 2))
 
 
 @dataclass(frozen=True)
@@ -178,21 +177,8 @@ class WeightParams:
 
 def _require_eta(eta: Dict[AssemblageKey, float], domain: Interval) -> None:
     """Every eta^{a|x} in domain, in (x, a) order; a missing one reads as NaN, which fails."""
-    for x in SETTINGS:
-        for a in OUTCOMES:
-            require_interval(f"eta[(a={a}, x={x})]", eta.get((a, x), np.nan), domain)
-
-
-def _assemblage(sigma: np.ndarray) -> Assemblage:
-    """Assemblage from a stack sigma[x][a] of 2x2 matrices in array order."""
-    return Assemblage(
-        {(a, x): sigma[ix, ia] for ix, x in enumerate(SETTINGS) for ia, a in enumerate(OUTCOMES)}
-    )
-
-
-def _stack(asm: Assemblage) -> np.ndarray:
-    """The elements of an assemblage as a stack sigma[x][a] in array order."""
-    return np.array([[asm.elements[(a, x)] for a in OUTCOMES] for x in SETTINGS])
+    for a, x in _KEYS:
+        require_interval(f"eta[(a={a}, x={x})]", eta.get((a, x), np.nan), domain)
 
 
 def assemblage_from_state(state: TwoQubitState, alice_dirs: Sequence[Direction]) -> Assemblage:
@@ -201,23 +187,20 @@ def assemblage_from_state(state: TwoQubitState, alice_dirs: Sequence[Direction])
         raise ValidationError("exactly two Alice directions required")
     # rho[(i, k), (j, l)] with Alice's indices i, j first.
     rho = state.density.reshape(2, 2, 2, 2)
-    return _assemblage(np.einsum("xaij,jkil->xakl", projectors(alice_dirs), rho))
+    return Assemblage(_keyed(np.einsum("xaij,jkil->xakl", projectors(alice_dirs), rho)))
 
 
 def assemblage_from_mdlhs(model: MdLhsModel) -> Assemblage:
     """sigma_{a|x} = sum_lambda p(lambda|x) p(a|x,lambda) rho_{lambda|x}."""
-    return _assemblage(
-        np.einsum(
-            "xn,xna,nxij->xaij", model.p_lambda_given_x, model.p_a_given_x_lambda, model.states
-        )
-    )
+    plx, pax = model.p_lambda_given_x, model.p_a_given_x_lambda
+    return Assemblage(_keyed(np.einsum("xn,xna,nxij->xaij", plx, pax, model.states)))
 
 
 def behavior_from_assemblage(asm: Assemblage, bob_dirs: Sequence[Direction]) -> Behavior:
     """p(ab|xy) = Tr[P_b^y sigma_{a|x}] for Bob's projective measurements."""
     if len(bob_dirs) != 2:
         raise ValidationError("exactly two Bob directions required")
-    p = np.einsum("ybkl,xalk->xyab", projectors(bob_dirs), _stack(asm))
+    p = np.einsum("ybkl,xalk->xyab", projectors(bob_dirs), asm._sigma)
     return Behavior(np.clip(p.real, 0.0, None))
 
 
@@ -250,9 +233,8 @@ def mix_assemblages(
     Assemblage then raises rather than silently renormalizing.
     """
     _require_eta(eta, UNIT)
-    return Assemblage(
-        {k: (1.0 - eta[k]) * m + eta[k] * mdlhs.elements[k] for k, m in steerable.elements.items()}
-    )
+    w = np.array([eta[k] for k in _KEYS]).reshape(2, 2, 1, 1)
+    return Assemblage(_keyed((1.0 - w) * steerable._sigma + w * mdlhs._sigma))
 
 
 def md_weight(params: WeightParams) -> float:

@@ -216,6 +216,33 @@ class TestAdversary:
         assert record["independent"] is True
 
 
+class TestNegativeNumberTokens:
+    """A negative float in exponent form, or -inf, is a value as a separate token too."""
+
+    def test_exponent_form_matches_joined_form(self, capsys):
+        assert main(["adversary", "--theta=-1e-3", "--phi", "2.051", "--delta", "2.447"]) == 0
+        joined = capsys.readouterr().out
+        assert main(["adversary", "--theta", "-1e-3", "--phi", "2.051", "--delta", "2.447"]) == 0
+        assert capsys.readouterr().out == joined
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [(lambda path: ["eval", "--in", path, "--p", "-1e-3"], "-0.001"),
+         (lambda path: ["curve", "--kind", "local", "--p-min", "-inf"], "-inf")],
+    )
+    def test_reaches_the_domain_check(self, argv, value, tmp_path, capsys):
+        assert main(argv(write_behavior(tmp_path / "pr.json", pr_box()))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and value in captured.err
+
+    def test_read_from_sys_argv(self, tmp_path, monkeypatch, capsys):
+        path = write_behavior(tmp_path / "pr.json", pr_box())
+        monkeypatch.setattr(sys, "argv", ["mdsteer", "eval", "--in", path, "--p", "-1e-3"])
+        assert main() == 2
+        assert "-0.001" in capsys.readouterr().err
+
+
 def run_python(code, cwd=None):
     """Stdout of ``python -c code`` in a fresh interpreter that finds this checkout's mdsteer."""
     src = str(Path(mdsteer.__file__).resolve().parents[1])

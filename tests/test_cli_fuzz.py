@@ -1,8 +1,8 @@
 """CLI arguments drawn at random, down to the exit code: no exception escapes main.
 
-Every float goes in as ``--flag=value`` so that argparse reads "-inf" or
-"-1e+300" as a value rather than as an option. --steps and --samples are capped
-so that each run stays small; the quantum curve runs the optimizer and is left out.
+Every float goes in either as ``--flag=value`` or as the two tokens ``--flag value``.
+--steps and --samples are capped so that each run stays small; the quantum curve
+runs the optimizer and is left out.
 """
 
 import contextlib
@@ -25,6 +25,12 @@ FLOATS = st.one_of(
 )
 OPTIONAL = st.one_of(st.none(), FLOATS)
 FUZZ = settings(max_examples=100, deadline=None)
+JOINED = st.booleans()  # one draw per command: --flag=value or --flag value
+
+
+def flag(name, value, joined):
+    """A float option as argv tokens, in the drawn form."""
+    return [f"{name}={value!r}"] if joined else [name, repr(value)]
 
 
 def strict_json(text):
@@ -56,10 +62,10 @@ def behavior_files(tmp_path_factory):
 
 
 @FUZZ
-@given(p=FLOATS, bad_file=st.booleans())
-def test_eval(behavior_files, p, bad_file):
+@given(p=FLOATS, bad_file=st.booleans(), joined=JOINED)
+def test_eval(behavior_files, p, bad_file, joined):
     path = behavior_files / ("nan.json" if bad_file else "pr.json")
-    code, out, err = run(["eval", "--in", str(path), f"--p={p!r}"])
+    code, out, err = run(["eval", "--in", str(path), *flag("--p", p, joined)])
     assert code in ({1} if bad_file else {0, 2})  # 1 only for the file that cannot be read
     if code == 0:
         strict_json(out)
@@ -68,9 +74,9 @@ def test_eval(behavior_files, p, bad_file):
 
 
 @FUZZ
-@given(p=FLOATS, samples=st.integers(-2, 2000), seed=st.integers(-2, 2**40))
-def test_oracle(p, samples, seed):
-    code, out, err = run(["oracle", f"--p={p!r}", f"--samples={samples}", f"--seed={seed}"])
+@given(p=FLOATS, samples=st.integers(-2, 2000), seed=st.integers(-2, 2**40), joined=JOINED)
+def test_oracle(p, samples, seed, joined):
+    code, out, err = run(["oracle", *flag("--p", p, joined), f"--samples={samples}", f"--seed={seed}"])
     assert code in {0, 2, 3}
     if code == 2:
         check_failure(out, err)
@@ -79,9 +85,10 @@ def test_oracle(p, samples, seed):
 
 
 @FUZZ
-@given(theta=FLOATS, phi=FLOATS, delta=FLOATS)
-def test_adversary(theta, phi, delta):
-    code, out, err = run(["adversary", f"--theta={theta!r}", f"--phi={phi!r}", f"--delta={delta!r}"])
+@given(theta=FLOATS, phi=FLOATS, delta=FLOATS, joined=JOINED)
+def test_adversary(theta, phi, delta, joined):
+    angles = {"--theta": theta, "--phi": phi, "--delta": delta}
+    code, out, err = run(["adversary", *(t for k, v in angles.items() for t in flag(k, v, joined))])
     assert code in {0, 2}
     if code == 0:
         strict_json(out)
@@ -98,12 +105,13 @@ def test_adversary(theta, phi, delta):
     delta=OPTIONAL,
     gamma=OPTIONAL,
     fmt=st.sampled_from(["csv", "json"]),
+    joined=JOINED,
 )
-def test_curve(kind, p_min, p_max, steps, delta, gamma, fmt):
-    argv = ["curve", "--kind", kind, f"--p-min={p_min!r}", f"--p-max={p_max!r}",
-            f"--steps={steps}", "--format", fmt]
-    argv += [] if delta is None else [f"--delta={delta!r}"]
-    argv += [] if gamma is None else [f"--gamma={gamma!r}"]
+def test_curve(kind, p_min, p_max, steps, delta, gamma, fmt, joined):
+    argv = ["curve", "--kind", kind, *flag("--p-min", p_min, joined),
+            *flag("--p-max", p_max, joined), f"--steps={steps}", "--format", fmt]
+    argv += [] if delta is None else flag("--delta", delta, joined)
+    argv += [] if gamma is None else flag("--gamma", gamma, joined)
     with np.errstate(all="ignore"):  # np.linspace over +-1e308 overflows before the grid check
         code, out, err = run(argv)
     assert code in {0, 2}

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -6,8 +7,8 @@ import pytest
 
 from conftest import random_mdlhs_model
 
-from mdsteer.behaviors import OUTCOMES
-from mdsteer.kernel import Direction, ValidationError, pure_state
+from mdsteer.behaviors import OUTCOMES, Behavior, pr_box
+from mdsteer.kernel import Direction, TwoQubitState, ValidationError, pure_state
 from mdsteer.steering import (
     SETTINGS,
     Assemblage,
@@ -274,6 +275,38 @@ class TestMarginalInequalityChain:
                 assert mixed.outcome_probability(a, x) >= eta[(a, x)] * model_marginal - 1e-12
 
 
+def legacy_to_json(model):
+    """The nested-loop serializer that MdLhsModel.to_json replaced, kept as its byte reference."""
+    states = [
+        [[[z.real, z.imag] for z in model.states[lam, ix].reshape(4)] for ix in range(2)]
+        for lam in range(model.n_lambdas)
+    ]
+    return json.dumps(
+        {
+            "lambdas": model.n_lambdas,
+            "pLambdaGivenX": model.p_lambda_given_x.tolist(),
+            "pAGivenXLambda": model.p_a_given_x_lambda.tolist(),
+            "states": states,
+        }
+    )
+
+
+def corrupt(edit):
+    """The JSON of a seeded two-lambda model after edit(data) changes its parsed form in place."""
+    data = json.loads(random_mdlhs_model(8, n_lambdas=2).to_json())
+    edit(data)
+    return json.dumps(data)
+
+
+MALFORMED_MODELS = {
+    "lambdas beyond the state rows": corrupt(lambda d: d.update(lambdas=3)),
+    "a [re, im, x] triple": corrupt(lambda d: d["states"][0][0][0].append(1.0)),
+    "a state with three entries": corrupt(lambda d: d["states"][0][1].pop()),
+    "negative lambdas": corrupt(lambda d: d.update(lambdas=-1)),
+    "a string entry": corrupt(lambda d: d["states"][1][0][2].__setitem__(0, "re")),
+}
+
+
 class TestModelJson:
     def test_round_trip(self):
         model = random_mdlhs_model(42, n_lambdas=3)
@@ -281,6 +314,69 @@ class TestModelJson:
         np.testing.assert_array_equal(model.p_lambda_given_x, again.p_lambda_given_x)
         np.testing.assert_array_equal(model.p_a_given_x_lambda, again.p_a_given_x_lambda)
         np.testing.assert_array_equal(model.states, again.states)
+
+    @pytest.mark.parametrize("n_lambdas", range(1, 17))
+    def test_text_matches_nested_loop_serializer(self, n_lambdas):
+        for seed in range(3):
+            model = random_mdlhs_model(100 * n_lambdas + seed, n_lambdas=n_lambdas)
+            assert model.to_json() == legacy_to_json(model)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_malformed_input_is_a_validation_error(self, case):
+        with pytest.raises(ValidationError, match="^malformed MD-LHS model JSON: "):
+            MdLhsModel.from_json(MALFORMED_MODELS[case])
+
+
+def owned_arrays(kind):
+    """(the caller's input arrays, the arrays the validated object exposes) for one type."""
+    if kind == "TwoQubitState":
+        rho = pure_state(0.3).density.copy()
+        return [rho], [TwoQubitState(rho).density]
+    if kind == "Behavior":
+        p = pr_box().probabilities.copy()
+        return [p], [Behavior(p).probabilities]
+    if kind == "Assemblage":
+        elements = {k: m.copy() for k, m in maximally_mixed_assemblage().elements.items()}
+        return list(elements.values()), list(Assemblage(elements).elements.values())
+    model = random_mdlhs_model(3, n_lambdas=2)
+    inputs = [model.p_lambda_given_x.copy(), model.p_a_given_x_lambda.copy(), model.states.copy()]
+    again = MdLhsModel(*inputs)
+    return inputs, [again.p_lambda_given_x, again.p_a_given_x_lambda, again.states]
+
+
+OWNERS = ["TwoQubitState", "Behavior", "Assemblage", "MdLhsModel"]
+
+
+class TestOwnedArrays:
+    """Each validated type keeps its own read-only copy of what it was given."""
+
+    @pytest.mark.parametrize("kind", OWNERS)
+    def test_writes_to_the_input_do_not_reach_the_object(self, kind):
+        inputs, stored = owned_arrays(kind)
+        before = [a.copy() for a in stored]
+        for a in inputs:
+            a[...] = -5.0
+        for a, b in zip(stored, before):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", OWNERS)
+    def test_stored_arrays_are_read_only(self, kind):
+        _, stored = owned_arrays(kind)
+        for a in stored:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 7.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_elements_rebuild_the_same_assemblage(self, seed):
+        rng = np.random.default_rng(seed)
+        state = pure_state(rng.uniform(0, math.pi / 2))
+        for asm in (
+            assemblage_from_state(state, random_directions(rng, 2)),
+            assemblage_from_mdlhs(random_mdlhs_model(seed)),
+        ):
+            again = Assemblage(asm.elements).elements
+            assert again.keys() == asm.elements.keys()
+            assert all(np.array_equal(again[k], asm.elements[k]) for k in asm.elements)
 
 
 # Each bad element keeps its setting's traces summing to 1, so only the PSD
