@@ -45,9 +45,10 @@ class SettingReport:
 def marginal_setting_prob(m: BiasModel) -> SettingReport:
     """Observed marginal p(x1) = sum_lambda p(x1|lambda) p(lambda)."""
     p_lambda = np.array([math.sin(m.delta) ** 2, math.cos(m.delta) ** 2])
-    p1_given = np.array([math.cos(m.theta) ** 2, math.cos(m.phi) ** 2])
-    p_x_given_lambda = np.stack([p1_given, 1.0 - p1_given], axis=1)
-    p_x1 = float(p_lambda @ p1_given)
+    c1, c2 = math.cos(m.theta) ** 2, math.cos(m.phi) ** 2
+    p_x_given_lambda = np.array([[c1, 1.0 - c1], [c2, 1.0 - c2]])
+    # numpy's dot, not c1 * s + c2 * c: the two round differently.
+    p_x1 = float(p_lambda @ np.array([c1, c2]))
     return SettingReport(p_x1=p_x1, p_lambda=p_lambda, p_x_given_lambda=p_x_given_lambda)
 
 
@@ -89,12 +90,11 @@ def constraint_report(model: BiasModel) -> ConstraintReport:
     rows sum to 1, so this is simply the smallest entry of the table.
     """
     setting = marginal_setting_prob(model)
-    p = setting.p_x_given_lambda
-    independent = bool(np.max(np.abs(p[0] - p[1])) <= TOL.check)
+    (p11, p12), (p21, p22) = setting.p_x_given_lambda.tolist()
     return ConstraintReport(
         p_x1=setting.p_x1,
         p_lambda=setting.p_lambda,
-        p_x_given_lambda=p,
-        max_l=float(np.min(p)),
-        measurement_independent=independent,
+        p_x_given_lambda=setting.p_x_given_lambda,
+        max_l=min(p11, p12, p21, p22),
+        measurement_independent=max(abs(p11 - p21), abs(p12 - p22)) <= TOL.check,
     )

@@ -32,6 +32,7 @@ from .kernel import (  # noqa: F401
     projectors,
     require_distribution,
     require_interval,
+    require_numbers,
     tensor,
 )
 
@@ -58,7 +59,7 @@ class Behavior:
         data = json.loads(text)
         if not isinstance(data, dict) or "probabilities" not in data:
             raise ValidationError('behavior JSON must be {"probabilities": [[[[...]]]]}')
-        return cls(np.array(data["probabilities"], dtype=float))
+        return cls(require_numbers("probabilities", data["probabilities"]))
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ def behavior_from_quantum(
     # rho[(i, k), (j, l)] with Alice's indices i, j first.
     rho = state.density.reshape(2, 2, 2, 2)
     p = np.einsum("xaij,ybkl,jlik->xyab", projectors(x_dirs), projectors(y_dirs), rho)
-    return Behavior(np.clip(p.real, 0.0, None))
+    return Behavior(np.maximum(p.real, 0.0))
 
 
 def correlators(b: Behavior) -> CorrelatorVector:
@@ -156,9 +157,8 @@ def no_signalling_check(b: Behavior, tol: float = TOL.check) -> NoSignallingRepo
     p = b.probabilities
     alice = p.sum(axis=3)  # p(a|x, y) indexed [x][y][a]
     bob = p.sum(axis=2)  # p(b|x, y) indexed [x][y][b]
-    dev_alice = np.max(np.abs(alice[:, 0, :] - alice[:, 1, :]))
-    dev_bob = np.max(np.abs(bob[0, :, :] - bob[1, :, :]))
-    dev = float(max(dev_alice, dev_bob))
+    diffs = np.concatenate([alice[:, 0, :] - alice[:, 1, :], bob[0, :, :] - bob[1, :, :]])
+    dev = float(np.abs(diffs).max())
     return NoSignallingReport(max_deviation=dev, passed=dev <= tol)
 
 

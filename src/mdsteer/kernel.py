@@ -125,9 +125,32 @@ def frozen_copy(values, dtype) -> np.ndarray:
     return out
 
 
+def require_numbers(what: str, value) -> np.ndarray:
+    """A parsed JSON value as a float array, every leaf of it a number.
+
+    np.array would read the string "0.5", true and null as 0.5, 1.0 and nan; they are refused.
+    """
+
+    def check(v) -> None:
+        if isinstance(v, list):
+            for item in v:
+                check(item)
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValidationError(f"{what} must hold only numbers, got {v!r}")
+
+    check(value)
+    try:
+        return np.array(value, dtype=float)
+    except (ValueError, OverflowError) as exc:  # ragged nesting; an int beyond float range
+        raise ValidationError(f"{what} is not a numeric array: {exc}") from None
+
+
 def require_count(what: str, value: int, least: int = 0) -> None:
-    """Reject anything but an integer >= least; seeds use least = 0, as np.random.default_rng."""
-    if not isinstance(value, (int, np.integer)) or value < least:
+    """Reject anything but an integer >= least; seeds use least = 0, as np.random.default_rng.
+
+    A bool is an int to Python, but True is not a count: it is rejected too.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
@@ -186,9 +209,48 @@ def is_hermitian(m: np.ndarray, tol: float = TOL.eq) -> bool | np.ndarray:
     return _verdict(np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= tol)
 
 
+# The linear part of the 2x2 screen. A row per float of [[a, b], [c, d]]; the columns are
+# four (re, im) pairs, b - conj(c), 2 Im a + 0j, 2 Im d + 0j and c, then (Re a - Re d)/2
+# and (Re a + Re d)/2. A column sums at most two nonzero terms with weights +/-1, +/-1/2
+# or 2, so it rounds once, as the formula written out does.
+_SCREEN_2X2 = np.array(
+    [
+        [0, 0, 0, 0, 0, 0, 0, 0, 0.5, 0.5],  # Re a
+        [0, 0, 2, 0, 0, 0, 0, 0, 0.0, 0.0],  # Im a
+        [1, 0, 0, 0, 0, 0, 0, 0, 0.0, 0.0],  # Re b
+        [0, 1, 0, 0, 0, 0, 0, 0, 0.0, 0.0],  # Im b
+        [-1, 0, 0, 0, 0, 0, 1, 0, 0.0, 0.0],  # Re c
+        [0, 1, 0, 0, 0, 0, 0, 1, 0.0, 0.0],  # Im c
+        [0, 0, 0, 0, 0, 0, 0, 0, -0.5, 0.5],  # Re d
+        [0, 0, 0, 0, 2, 0, 0, 0, 0.0, 0.0],  # Im d
+    ]
+)
+
+
+def _is_psd_2x2(m: np.ndarray, tol: float) -> np.ndarray:
+    """is_psd for a stack (..., 2, 2) of complex matrices, in closed form."""
+    entries = np.ascontiguousarray(m).reshape(m.shape[:-2] + (4,)).view(float)
+    lin = entries @ _SCREEN_2X2
+    # |b - conj(c)|, |2 Im a|, |2 Im d|: is_hermitian's deviations, bit for bit; then |c|.
+    mods = np.abs(lin[..., :8].view(complex))
+    smallest = lin[..., 9] - np.hypot(lin[..., 8], mods[..., 3])
+    return (mods[..., :3].max(axis=-1) <= max(tol, TOL.eq)) & (smallest >= -tol)
+
+
 def is_psd(m: np.ndarray, tol: float = TOL.psd) -> bool | np.ndarray:
-    """Whether m is Hermitian with smallest eigenvalue >= -tol; stacks as is_hermitian."""
+    """Whether m is Hermitian with smallest eigenvalue >= -tol; stacks as is_hermitian.
+
+    A stack of 2x2 matrices [[a, b], [c, d]] is screened in closed form, with a few
+    ufunc calls over the whole stack. The Hermitian deviation is
+    max(|2 Im a|, |2 Im d|, |b - conj(c)|), the value is_hermitian computes, and it
+    gates the smallest eigenvalue (Re a + Re d)/2 - hypot((Re a - Re d)/2, |c|), which
+    reads the lower triangle only, as eigvalsh does. The tolerance semantics are those
+    of the general path: deviation <= max(tol, TOL.eq) and eigenvalue >= -tol. A NaN or
+    an infinite entry fails both. Other sizes take is_hermitian and eigvalsh.
+    """
     m = np.asarray(m, dtype=complex)
+    if m.shape[-2:] == (2, 2):
+        return _verdict(_is_psd_2x2(m, tol))
     hermitian = is_hermitian(m, tol=max(tol, TOL.eq))
     if not np.any(hermitian):  # also covers non-square input, which eigvalsh rejects
         return hermitian
@@ -245,8 +307,9 @@ class TwoQubitState:
             raise ValidationError(f"density must be 4x4, got shape {rho.shape}")
         if not is_hermitian(rho):
             raise ValidationError("density matrix is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > TOL.eq:
-            raise ValidationError(f"density trace is {np.trace(rho).real}, expected 1")
+        trace = np.trace(rho).real
+        if abs(trace - 1.0) > TOL.eq:
+            raise ValidationError(f"density trace is {trace}, expected 1")
         if float(np.linalg.eigvalsh(rho).min()) < -TOL.psd:
             raise ValidationError("density matrix is not positive semidefinite")
         object.__setattr__(self, "density", rho)

@@ -112,12 +112,12 @@ def quantum_value(ansatz: QuantumAnsatz, p: float) -> float:
 
 
 def _planar_ansatz(params: np.ndarray) -> QuantumAnsatz:
-    theta = float(np.clip(params[0], 0.0, math.pi / 2))
+    theta = float(min(max(params[0], 0.0), math.pi / 2))
     return QuantumAnsatz(theta, tuple(Direction.planar(a) for a in params[1:5]))
 
 
 def _sphere_ansatz(params: np.ndarray) -> QuantumAnsatz:
-    theta = float(np.clip(params[0], 0.0, math.pi / 2))
+    theta = float(min(max(params[0], 0.0), math.pi / 2))
     dirs = tuple(
         Direction.spherical(params[1 + 2 * i], params[2 + 2 * i]) for i in range(4)
     )

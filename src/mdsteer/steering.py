@@ -36,6 +36,7 @@ from .kernel import (  # noqa: F401
     projectors,
     require_distribution,
     require_interval,
+    require_numbers,
     tensor,
     unnormalized,
 )
@@ -71,9 +72,13 @@ class Assemblage:
                 raise ValidationError(f"missing assemblage element for (a={a}, x={x})")
             if np.asarray(self.elements[(a, x)]).shape != (2, 2):
                 raise ValidationError(f"element (a={a}, x={x}) must be 2x2")
-        flat = frozen_copy([self.elements[k] for k in _KEYS], complex)
-        psd = is_psd(flat)
-        traces = np.trace(flat, axis1=-2, axis2=-1).real
+        self._keep(frozen_copy([self.elements[k] for k in _KEYS], complex))
+
+    def _keep(self, flat: np.ndarray) -> None:
+        """Validate and store flat: a read-only stack in _KEYS order that no one else holds."""
+        # One verdict and one trace per element, as Python bools and floats.
+        psd = is_psd(flat).tolist()
+        traces = [re_a + re_d for re_a, re_d in flat.real.diagonal(0, -2, -1).tolist()]
         # Faults are reported in _KEYS order; a setting's traces are summed at its last element.
         for i, (a, x) in enumerate(_KEYS):
             if not psd[i]:
@@ -102,6 +107,8 @@ class MdLhsModel:
     p_lambda_given_x: np.ndarray
     p_a_given_x_lambda: np.ndarray
     states: np.ndarray
+    # The model's assemblage, built by the first assemblage_from_mdlhs call and kept.
+    _assemblage: Assemblage | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         plx = frozen_copy(self.p_lambda_given_x, float)
@@ -144,13 +151,15 @@ class MdLhsModel:
     def from_json(cls, text: str) -> "MdLhsModel":
         data = json.loads(text)
         try:
-            n = int(data["lambdas"])
-            plx = np.array(data["pLambdaGivenX"], dtype=float)
-            pax = np.array(data["pAGivenXLambda"], dtype=float)
-            pairs = np.array(data["states"], dtype=float)
+            n = data["lambdas"]
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise ValueError(f"lambdas must be an integer, got {n!r}")
+            plx = require_numbers("pLambdaGivenX", data["pLambdaGivenX"])
+            pax = require_numbers("pAGivenXLambda", data["pAGivenXLambda"])
+            pairs = require_numbers("states", data["states"])
             if pairs.shape != (n, 2, 4, 2):
                 raise ValueError(f"states must have shape ({n}, 2, 4, 2), got {pairs.shape}")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # ValidationError is a ValueError
             raise ValidationError(f"malformed MD-LHS model JSON: {exc}") from exc
         return cls(plx, pax, pairs.view(complex).reshape(n, 2, 2, 2))
 
@@ -181,19 +190,35 @@ def _require_eta(eta: Dict[AssemblageKey, float], domain: Interval) -> None:
         require_interval(f"eta[(a={a}, x={x})]", eta.get((a, x), np.nan), domain)
 
 
+def _of_stack(sigma: np.ndarray) -> Assemblage:
+    """Assemblage(_keyed(sigma)), minus the copy, for a fresh stack sigma[x][a] no caller keeps."""
+    flat = np.ascontiguousarray(sigma).reshape(len(_KEYS), 2, 2)
+    flat.setflags(write=False)
+    asm = object.__new__(Assemblage)
+    asm._keep(flat)
+    return asm
+
+
 def assemblage_from_state(state: TwoQubitState, alice_dirs: Sequence[Direction]) -> Assemblage:
     """sigma_{a|x} = Tr_A[(P_a^x (x) I) rho] for projective measurements."""
     if len(alice_dirs) != 2:
         raise ValidationError("exactly two Alice directions required")
     # rho[(i, k), (j, l)] with Alice's indices i, j first.
     rho = state.density.reshape(2, 2, 2, 2)
-    return Assemblage(_keyed(np.einsum("xaij,jkil->xakl", projectors(alice_dirs), rho)))
+    return _of_stack(np.einsum("xaij,jkil->xakl", projectors(alice_dirs), rho))
 
 
 def assemblage_from_mdlhs(model: MdLhsModel) -> Assemblage:
-    """sigma_{a|x} = sum_lambda p(lambda|x) p(a|x,lambda) rho_{lambda|x}."""
-    plx, pax = model.p_lambda_given_x, model.p_a_given_x_lambda
-    return Assemblage(_keyed(np.einsum("xn,xna,nxij->xaij", plx, pax, model.states)))
+    """sigma_{a|x} = sum_lambda p(lambda|x) p(a|x,lambda) rho_{lambda|x}.
+
+    The model is immutable, so its assemblage is built and validated once and kept on it;
+    every later call returns that same object.
+    """
+    if model._assemblage is None:
+        plx, pax = model.p_lambda_given_x, model.p_a_given_x_lambda
+        sigma = np.einsum("xn,xna,nxij->xaij", plx, pax, model.states)
+        object.__setattr__(model, "_assemblage", _of_stack(sigma))
+    return model._assemblage
 
 
 def behavior_from_assemblage(asm: Assemblage, bob_dirs: Sequence[Direction]) -> Behavior:
@@ -201,7 +226,7 @@ def behavior_from_assemblage(asm: Assemblage, bob_dirs: Sequence[Direction]) -> 
     if len(bob_dirs) != 2:
         raise ValidationError("exactly two Bob directions required")
     p = np.einsum("ybkl,xalk->xyab", projectors(bob_dirs), asm._sigma)
-    return Behavior(np.clip(p.real, 0.0, None))
+    return Behavior(np.maximum(p.real, 0.0))
 
 
 def mdlhv_decomposition_check(model: MdLhsModel, bob_dirs: Sequence[Direction]) -> float:
@@ -209,7 +234,7 @@ def mdlhv_decomposition_check(model: MdLhsModel, bob_dirs: Sequence[Direction]) 
 
     Builds p(ab|xy) once via behavior_from_assemblage(assemblage_from_mdlhs(model))
     and once as sum_lambda p(lambda|x) p(a|x,lambda) Tr[P_b^y rho_{lambda|x}];
-    the two agree by linearity of the trace.
+    the two agree by linearity of the trace. The model's kept assemblage is reused.
     """
     via_assemblage = behavior_from_assemblage(assemblage_from_mdlhs(model), bob_dirs)
     direct = np.einsum(
@@ -234,7 +259,7 @@ def mix_assemblages(
     """
     _require_eta(eta, UNIT)
     w = np.array([eta[k] for k in _KEYS]).reshape(2, 2, 1, 1)
-    return Assemblage(_keyed((1.0 - w) * steerable._sigma + w * mdlhs._sigma))
+    return _of_stack((1.0 - w) * steerable._sigma + w * mdlhs._sigma)
 
 
 def md_weight(params: WeightParams) -> float:

@@ -58,15 +58,23 @@ def behavior_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("behaviors")
     (root / "pr.json").write_text(pr_box().to_json())
     (root / "nan.json").write_text(json.dumps({"probabilities": np.full((2, 2, 2, 2), np.nan).tolist()}))
+    # A leaf that is not a JSON number, or an integer past float range, for the first 0.5.
+    for name, leaf in BAD_LEAVES.items():
+        data = json.loads(pr_box().to_json())
+        data["probabilities"][0][0][0][0] = leaf
+        (root / f"{name}.json").write_text(json.dumps(data))
     return root
 
 
+BAD_LEAVES = {"string": "0.5", "true": True, "null": None, "huge": 10**400}
+BAD_FILES = ["nan.json"] + [f"{name}.json" for name in BAD_LEAVES]
+
+
 @FUZZ
-@given(p=FLOATS, bad_file=st.booleans(), joined=JOINED)
-def test_eval(behavior_files, p, bad_file, joined):
-    path = behavior_files / ("nan.json" if bad_file else "pr.json")
-    code, out, err = run(["eval", "--in", str(path), *flag("--p", p, joined)])
-    assert code in ({1} if bad_file else {0, 2})  # 1 only for the file that cannot be read
+@given(p=FLOATS, name=st.sampled_from(["pr.json"] + BAD_FILES), joined=JOINED)
+def test_eval(behavior_files, p, name, joined):
+    code, out, err = run(["eval", "--in", str(behavior_files / name), *flag("--p", p, joined)])
+    assert code in ({1} if name in BAD_FILES else {0, 2})  # 1 only for a file that cannot be read
     if code == 0:
         strict_json(out)
     else:

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mdsteer.kernel import (
     TOL,
@@ -239,3 +242,68 @@ class TestStackedChecks:
         assert is_hermitian(np.ones((2, 3))) is False
         assert is_psd(np.ones((2, 3))) is False
         assert not is_psd(np.ones((4, 2, 3))).any()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_2x2_smallest_eigenvalue_at_the_slack(self, seed):
+        # One part in 1e3 of TOL.psd either side of the edge; rounding moves ~1e-16.
+        rng = np.random.default_rng(seed)
+        stack = np.empty((8, 2, 2), dtype=complex)
+        for i, scale in enumerate([0.999, 1.001] * 4):
+            q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            stack[i] = q @ np.diag([-scale * TOL.psd, rng.uniform(0.0, 1.0)]) @ q.conj().T
+        expected = [True, False] * 4
+        assert is_psd(stack).tolist() == expected
+        assert [reference_is_psd(m) for m in stack] == expected
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_2x2_deviation_is_is_hermitians_bit_for_bit(self, seed):
+        # With tol at the exact deviation the matrix passes, one ulp below it fails; an
+        # imaginary diagonal part counts twice, as in m - m^H.
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            m = np.diag(rng.uniform(0.5, 1.0, 2)).astype(complex)
+            m += 1e-3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            dev = float(np.abs(m - m.conj().T).max())
+            assert is_psd(m, tol=dev) is True
+            assert is_psd(m, tol=math.nextafter(dev, 0.0)) is False
+
+    def test_2x2_reads_the_lower_triangle_gated_by_hermiticity(self):
+        lower_psd = np.array([[1.0, 5.0], [0.5, 1.0]], dtype=complex)  # lower triangle PSD
+        lower_indefinite = np.array([[1.0, 0.5], [5.0, 1.0]], dtype=complex)
+        assert np.linalg.eigvalsh(lower_psd).min() >= 0  # eigvalsh alone would pass it
+        assert is_psd(np.stack([lower_psd, lower_indefinite])).tolist() == [False, False]
+        assert not reference_is_psd(lower_psd)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 2, 2), (0, 4, 4)])
+    def test_zero_size_stack(self, shape):
+        psd = is_psd(np.zeros(shape, dtype=complex))
+        assert isinstance(psd, np.ndarray) and psd.shape == shape[:-2]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_2x2_non_finite_entry_fails(self, bad, entry):
+        m = np.eye(2, dtype=complex) / 2
+        m[entry] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf, 0 * inf: the general path warns too
+            assert is_psd(m) is False
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        floats=hnp.arrays(
+            float, st.tuples(st.integers(0, 6), st.just(8)), elements=st.floats(-2.0, 2.0)
+        ),
+        hermitian=st.booleans(),
+        shift=st.floats(0.0, 3.0),
+    )
+    def test_2x2_closed_form_matches_eigvalsh(self, floats, hermitian, shift):
+        stack = floats.view(complex).reshape(-1, 2, 2)
+        if hermitian:  # Hermitian, pushed towards PSD by shift * I
+            stack = (stack + stack.conj().swapaxes(-1, -2)) / 2 + shift * np.eye(2)
+        psd = is_psd(stack)
+        assert psd.shape == stack.shape[:1]
+        for verdict, m in zip(psd, stack):
+            if reference_is_hermitian(m, max(TOL.psd, TOL.eq)):
+                smallest = np.linalg.eigvalsh(m).min()
+                if abs(smallest + TOL.psd) < 1e-14:  # the verdict there is a rounding
+                    continue
+            assert verdict == reference_is_psd(m)

@@ -74,6 +74,21 @@ class TestQuantumMax:
         assert a.value == b.value
         assert a.argmax.theta == b.argmax.theta
 
+    def test_pinned_bit_for_bit(self):
+        # The theta clamp is min(max(t, 0), pi/2), which returns exactly what np.clip did;
+        # the search must end on the same bits (pinned with numpy 2.4 / scipy 1.17, x86-64).
+        point = quantum_max(0.5, FAST)
+        assert point.value.hex() == "0x1.6a09e667f3bcep+0"
+        assert point.argmax.theta.hex() == "0x1.41b3224e60726p+0"
+        pinned = [
+            ("-0x1.8ddf16c554163p-42", "0x1.0000000000000p+0"),
+            ("-0x1.2cf3007bfb82fp-1", "-0x1.9e36e273ff594p-1"),
+            ("0x1.d5b4e0efb5c4cp-43", "0x1.0000000000000p+0"),
+            ("0x1.c9f551d42522fp-42", "0x1.0000000000000p+0"),
+        ]
+        assert [(n.nx.hex(), n.nz.hex()) for n in point.argmax.directions] == pinned
+        assert all(n.ny == 0.0 for n in point.argmax.directions)
+
     def test_minimize_looked_up_per_restart(self, monkeypatch):
         # Instrumentation counts Nelder-Mead runs by replacing the module-global
         # mdsteer.optimize.minimize; quantum_max must call it through that name.

@@ -200,6 +200,13 @@ class TestBoundSweep:
         with pytest.raises(ValidationError, match="seed"):
             bound_sweep(0.3, 10, seed=seed)
 
+    def test_bools_are_not_counts(self):
+        # True == 1 to Python; as a count it once printed "samples": true.
+        with pytest.raises(ValidationError, match="samples must be an integer >= 1, got True"):
+            bound_sweep(0.3, True, seed=1)
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0, got False"):
+            bound_sweep(0.3, 10, seed=False)
+
     @pytest.mark.parametrize("samples", [1, 777, SWEEP_CHUNK])
     def test_single_chunk_matches_one_shot_stream(self, samples, monkeypatch):
         import mdsteer.oracle as oracle

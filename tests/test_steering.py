@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -98,6 +99,29 @@ class TestAssemblageFromMdlhs:
                     p_lambda[lam] * pax[ix, lam, ia] * base_states[lam] for lam in range(n)
                 )
                 np.testing.assert_allclose(asm.elements[(a, x)], expected, atol=1e-12)
+
+    def test_built_once_per_model(self):
+        model = random_mdlhs_model(7)
+        asm = assemblage_from_mdlhs(model)
+        assert assemblage_from_mdlhs(model) is asm
+        mdlhv_decomposition_check(model, [Z, X])
+        assert assemblage_from_mdlhs(model) is asm
+
+    def test_kept_assemblage_is_read_only(self):
+        asm = assemblage_from_mdlhs(random_mdlhs_model(7))
+        for a in [asm._sigma, *asm.elements.values()]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 7.0
+
+    def test_kept_assemblage_leaves_equality_repr_and_json_alone(self):
+        model = random_mdlhs_model(7)
+        before = repr(model), model.to_json()
+        assemblage_from_mdlhs(model)
+        assert (repr(model), model.to_json()) == before
+        assert "_assemblage" not in repr(model)
+        compared = [f.name for f in dataclasses.fields(MdLhsModel) if f.compare]
+        assert compared == ["p_lambda_given_x", "p_a_given_x_lambda", "states"]
+        assert model == model
 
     def test_setting_dependent_distribution_still_normalized(self):
         model = random_mdlhs_model(99)
@@ -291,9 +315,9 @@ def legacy_to_json(model):
     )
 
 
-def corrupt(edit):
-    """The JSON of a seeded two-lambda model after edit(data) changes its parsed form in place."""
-    data = json.loads(random_mdlhs_model(8, n_lambdas=2).to_json())
+def corrupt(edit, n_lambdas=2):
+    """The JSON of a seeded model after edit(data) changes its parsed form in place."""
+    data = json.loads(random_mdlhs_model(8, n_lambdas=n_lambdas).to_json())
     edit(data)
     return json.dumps(data)
 
@@ -304,6 +328,14 @@ MALFORMED_MODELS = {
     "a state with three entries": corrupt(lambda d: d["states"][0][1].pop()),
     "negative lambdas": corrupt(lambda d: d.update(lambdas=-1)),
     "a string entry": corrupt(lambda d: d["states"][1][0][2].__setitem__(0, "re")),
+    # Leaves that np.array(..., dtype=float) read as numbers, and non-integral counts.
+    "a numeric string": corrupt(lambda d: d["pLambdaGivenX"][0].__setitem__(0, "0.5")),
+    "a bool entry": corrupt(lambda d: d["pAGivenXLambda"][1][0].__setitem__(0, True)),
+    "a null entry": corrupt(lambda d: d["states"][0][0][0].__setitem__(1, None)),
+    "fractional lambdas": corrupt(lambda d: d.update(lambdas=1.5), n_lambdas=1),
+    "float lambdas": corrupt(lambda d: d.update(lambdas=1.0), n_lambdas=1),
+    "string lambdas": corrupt(lambda d: d.update(lambdas="1"), n_lambdas=1),
+    "bool lambdas": corrupt(lambda d: d.update(lambdas=True), n_lambdas=1),
 }
 
 

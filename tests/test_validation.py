@@ -1,19 +1,22 @@
 """The one validation boundary in kernel: intervals, distributions, and the inputs they guard."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from mdsteer.adversary import md_bound_check
-from mdsteer.behaviors import CorrelatorVector
+from mdsteer.behaviors import Behavior, CorrelatorVector, pr_box
 from mdsteer.kernel import (
     BIAS,
     OPEN_RIGHT_ANGLE,
     POSITIVE,
     ValidationError,
+    require_count,
     require_distribution,
     require_interval,
+    require_numbers,
 )
 from mdsteer.oracle import ExtremalStrategy, StrategyMixture, general_beta_operator
 from mdsteer.steering import MdLhsModel, WeightParams, weight_limit_values
@@ -109,3 +112,37 @@ class TestSettingProbabilityPair:
     def test_endpoint_pair_still_accepted(self):
         ExtremalStrategy(1, 0.0, p1=1.0, p2=0.0)
         general_beta_operator(C, 1.0, 0.0, 0.5)
+
+
+# JSON leaves that np.array(..., dtype=float) reads as 0.5, 1.0, 0.0 and nan.
+NON_NUMBERS = {"numeric string": "0.5", "true": True, "false": False, "null": None}
+
+
+class TestJsonNumbers:
+    @pytest.mark.parametrize("leaf", sorted(NON_NUMBERS))
+    def test_leaf_rejected_at_any_depth(self, leaf):
+        with pytest.raises(ValidationError, match="^table must hold only numbers, got "):
+            require_numbers("table", [[0.5, 0.5], [0.25, NON_NUMBERS[leaf]]])
+
+    def test_numbers_pass_as_float_array(self):
+        out = require_numbers("table", [[1, 0.5], [-2, 1e-300]])
+        assert out.dtype == float
+        np.testing.assert_array_equal(out, [[1.0, 0.5], [-2.0, 1e-300]])
+
+    @pytest.mark.parametrize("value", [[[1.0], [1.0, 2.0]], [10**400]])
+    def test_ragged_or_huge_rejected(self, value):
+        with pytest.raises(ValidationError, match="^table is not a numeric array: "):
+            require_numbers("table", value)
+
+    @pytest.mark.parametrize("leaf", sorted(NON_NUMBERS))
+    def test_behavior_json(self, leaf):
+        data = json.loads(pr_box().to_json())
+        data["probabilities"][0][0][0][0] = NON_NUMBERS[leaf]  # 0.5 in the PR box
+        with pytest.raises(ValidationError, match="^probabilities must hold only numbers"):
+            Behavior.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, "1", None])
+def test_count_takes_only_integers(value):
+    with pytest.raises(ValidationError, match="must be an integer >= 0"):
+        require_count("n", value)
