@@ -32,6 +32,7 @@ from .kernel import (  # noqa: F401
     projectors,
     require_distribution,
     require_interval,
+    require_json_object,
     require_numbers,
     tensor,
 )
@@ -39,9 +40,9 @@ from .kernel import (  # noqa: F401
 _AB_SIGNS = np.outer(OUTCOME_SIGNS, OUTCOME_SIGNS)  # a * b, indexed [a][b]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Behavior:
-    """Conditional distribution p(ab|xy), validated for normalization."""
+    """Conditional distribution p(ab|xy), validated for normalization; compared by identity."""
 
     probabilities: np.ndarray
 
@@ -56,8 +57,8 @@ class Behavior:
 
     @classmethod
     def from_json(cls, text: str) -> "Behavior":
-        data = json.loads(text)
-        if not isinstance(data, dict) or "probabilities" not in data:
+        data = require_json_object("behavior JSON", text)
+        if "probabilities" not in data:
             raise ValidationError('behavior JSON must be {"probabilities": [[[[...]]]]}')
         return cls(require_numbers("probabilities", data["probabilities"]))
 

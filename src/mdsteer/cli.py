@@ -109,7 +109,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     try:
         with open(args.infile) as fh:
             behavior = Behavior.from_json(fh.read())
-    except (OSError, json.JSONDecodeError, ValidationError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # a ValidationError is a ValueError
         print(f"error: cannot read behavior file: {exc}", file=sys.stderr)
         return EXIT_IO
     c = correlators(behavior)

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -123,6 +124,17 @@ def frozen_copy(values, dtype) -> np.ndarray:
     out = np.array(values, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
+
+
+def require_json_object(what: str, text: str) -> dict:
+    """text parsed as a JSON object; anything else, or nesting too deep to parse, is refused."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
+        raise ValidationError(f"malformed {what}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"malformed {what}: expected an object, got {type(data).__name__}")
+    return data
 
 
 def require_numbers(what: str, value) -> np.ndarray:
@@ -295,9 +307,9 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoQubitState:
-    """A validated 4x4 density matrix (Hermitian, unit trace, PSD)."""
+    """A validated 4x4 density matrix (Hermitian, unit trace, PSD); compared by identity."""
 
     density: np.ndarray
 

@@ -34,8 +34,10 @@ from .kernel import (  # noqa: F401
     partial_trace_alice,
     projector,
     projectors,
+    require_count,
     require_distribution,
     require_interval,
+    require_json_object,
     require_numbers,
     tensor,
     unnormalized,
@@ -55,16 +57,16 @@ def _keyed(sigma: np.ndarray) -> Dict[AssemblageKey, np.ndarray]:
     return dict(zip(_KEYS, sigma.reshape(len(_KEYS), 2, 2)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assemblage:
     """Map (a, x) -> unnormalized 2x2 PSD matrix sigma_{a|x}.
 
     Stored once, as a read-only stack sigma[x][a]; ``elements`` holds views of it.
-    Invariants: every element is PSD and the traces sum to 1 for each setting.
+    Invariants: every element is PSD and each setting's traces sum to 1. Compared by identity.
     """
 
     elements: Dict[AssemblageKey, np.ndarray]
-    _sigma: np.ndarray = field(init=False, repr=False, compare=False)
+    _sigma: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for a, x in _KEYS:
@@ -72,10 +74,7 @@ class Assemblage:
                 raise ValidationError(f"missing assemblage element for (a={a}, x={x})")
             if np.asarray(self.elements[(a, x)]).shape != (2, 2):
                 raise ValidationError(f"element (a={a}, x={x}) must be 2x2")
-        self._keep(frozen_copy([self.elements[k] for k in _KEYS], complex))
-
-    def _keep(self, flat: np.ndarray) -> None:
-        """Validate and store flat: a read-only stack in _KEYS order that no one else holds."""
+        flat = frozen_copy([self.elements[k] for k in _KEYS], complex)
         # One verdict and one trace per element, as Python bools and floats.
         psd = is_psd(flat).tolist()
         traces = [re_a + re_d for re_a, re_d in flat.real.diagonal(0, -2, -1).tolist()]
@@ -93,7 +92,7 @@ class Assemblage:
         return float(np.trace(self.elements[(a, x)]).real)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MdLhsModel:
     """Discrete hidden-variable model {lambda, p(lambda|x), p(a|x,lambda), rho_{lambda|x}}.
 
@@ -101,14 +100,12 @@ class MdLhsModel:
       p_lambda_given_x[x][lam]   shape (2, n)
       p_a_given_x_lambda[x][lam][a]  shape (2, n, 2), a index 0 <-> +1
       states[lam][x]             shape (n, 2, 2, 2) complex densities
-    The model keeps read-only C-ordered copies of them.
+    The model keeps read-only C-ordered copies of them. Compared by identity.
     """
 
     p_lambda_given_x: np.ndarray
     p_a_given_x_lambda: np.ndarray
     states: np.ndarray
-    # The model's assemblage, built by the first assemblage_from_mdlhs call and kept.
-    _assemblage: Assemblage | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         plx = frozen_copy(self.p_lambda_given_x, float)
@@ -149,11 +146,10 @@ class MdLhsModel:
 
     @classmethod
     def from_json(cls, text: str) -> "MdLhsModel":
-        data = json.loads(text)
+        data = require_json_object("MD-LHS model JSON", text)
         try:
             n = data["lambdas"]
-            if isinstance(n, bool) or not isinstance(n, int):
-                raise ValueError(f"lambdas must be an integer, got {n!r}")
+            require_count("lambdas", n)
             plx = require_numbers("pLambdaGivenX", data["pLambdaGivenX"])
             pax = require_numbers("pAGivenXLambda", data["pAGivenXLambda"])
             pairs = require_numbers("states", data["states"])
@@ -190,13 +186,15 @@ def _require_eta(eta: Dict[AssemblageKey, float], domain: Interval) -> None:
         require_interval(f"eta[(a={a}, x={x})]", eta.get((a, x), np.nan), domain)
 
 
-def _of_stack(sigma: np.ndarray) -> Assemblage:
-    """Assemblage(_keyed(sigma)), minus the copy, for a fresh stack sigma[x][a] no caller keeps."""
-    flat = np.ascontiguousarray(sigma).reshape(len(_KEYS), 2, 2)
-    flat.setflags(write=False)
-    asm = object.__new__(Assemblage)
-    asm._keep(flat)
-    return asm
+def _mdlhs_stack(model: MdLhsModel) -> np.ndarray:
+    """The stack sigma[x][a] = sum_lambda p(lambda|x) p(a|x,lambda) rho_{lambda|x}."""
+    plx, pax = model.p_lambda_given_x, model.p_a_given_x_lambda
+    return np.einsum("xn,xna,nxij->xaij", plx, pax, model.states)
+
+
+def _born(bob: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """p[x][y][a][b] = Tr[P_b^y sigma_{a|x}] for projectors bob[y][b] and a stack sigma[x][a]."""
+    return np.maximum(np.einsum("ybkl,xalk->xyab", bob, sigma).real, 0.0)
 
 
 def assemblage_from_state(state: TwoQubitState, alice_dirs: Sequence[Direction]) -> Assemblage:
@@ -205,46 +203,34 @@ def assemblage_from_state(state: TwoQubitState, alice_dirs: Sequence[Direction])
         raise ValidationError("exactly two Alice directions required")
     # rho[(i, k), (j, l)] with Alice's indices i, j first.
     rho = state.density.reshape(2, 2, 2, 2)
-    return _of_stack(np.einsum("xaij,jkil->xakl", projectors(alice_dirs), rho))
+    return Assemblage(_keyed(np.einsum("xaij,jkil->xakl", projectors(alice_dirs), rho)))
 
 
 def assemblage_from_mdlhs(model: MdLhsModel) -> Assemblage:
-    """sigma_{a|x} = sum_lambda p(lambda|x) p(a|x,lambda) rho_{lambda|x}.
-
-    The model is immutable, so its assemblage is built and validated once and kept on it;
-    every later call returns that same object.
-    """
-    if model._assemblage is None:
-        plx, pax = model.p_lambda_given_x, model.p_a_given_x_lambda
-        sigma = np.einsum("xn,xna,nxij->xaij", plx, pax, model.states)
-        object.__setattr__(model, "_assemblage", _of_stack(sigma))
-    return model._assemblage
+    """sigma_{a|x} = sum_lambda p(lambda|x) p(a|x,lambda) rho_{lambda|x}, a new one per call."""
+    return Assemblage(_keyed(_mdlhs_stack(model)))
 
 
 def behavior_from_assemblage(asm: Assemblage, bob_dirs: Sequence[Direction]) -> Behavior:
     """p(ab|xy) = Tr[P_b^y sigma_{a|x}] for Bob's projective measurements."""
     if len(bob_dirs) != 2:
         raise ValidationError("exactly two Bob directions required")
-    p = np.einsum("ybkl,xalk->xyab", projectors(bob_dirs), asm._sigma)
-    return Behavior(np.maximum(p.real, 0.0))
+    return Behavior(_born(projectors(bob_dirs), asm._sigma))
 
 
 def mdlhv_decomposition_check(model: MdLhsModel, bob_dirs: Sequence[Direction]) -> float:
     """Max |difference| between the assemblage route and the explicit hidden-variable sum.
 
-    Builds p(ab|xy) once via behavior_from_assemblage(assemblage_from_mdlhs(model))
-    and once as sum_lambda p(lambda|x) p(a|x,lambda) Tr[P_b^y rho_{lambda|x}];
-    the two agree by linearity of the trace. The model's kept assemblage is reused.
+    Computes p(ab|xy) once by Bob's Born rule on the model's stack sigma[x][a], as
+    behavior_from_assemblage(assemblage_from_mdlhs(model)) does but validating neither, and
+    once as sum_lambda p(lambda|x) p(a|x,lambda) Tr[P_b^y rho_{lambda|x}]; they agree by linearity.
     """
-    via_assemblage = behavior_from_assemblage(assemblage_from_mdlhs(model), bob_dirs)
-    direct = np.einsum(
-        "xn,xna,ybkl,nxlk->xyab",
-        model.p_lambda_given_x,
-        model.p_a_given_x_lambda,
-        projectors(bob_dirs),
-        model.states,
-    ).real
-    return float(np.max(np.abs(via_assemblage.probabilities - direct)))
+    if len(bob_dirs) != 2:
+        raise ValidationError("exactly two Bob directions required")
+    bob = projectors(bob_dirs)
+    plx, pax = model.p_lambda_given_x, model.p_a_given_x_lambda
+    direct = np.einsum("xn,xna,ybkl,nxlk->xyab", plx, pax, bob, model.states).real
+    return float(np.max(np.abs(_born(bob, _mdlhs_stack(model)) - direct)))
 
 
 def mix_assemblages(
@@ -259,7 +245,7 @@ def mix_assemblages(
     """
     _require_eta(eta, UNIT)
     w = np.array([eta[k] for k in _KEYS]).reshape(2, 2, 1, 1)
-    return _of_stack((1.0 - w) * steerable._sigma + w * mdlhs._sigma)
+    return Assemblage(_keyed((1.0 - w) * steerable._sigma + w * mdlhs._sigma))
 
 
 def md_weight(params: WeightParams) -> float:

@@ -23,3 +23,8 @@ def random_mdlhs_model(seed: int, n_lambdas: int = 4) -> MdLhsModel:
             mix = rng.uniform()
             states[lam, ix] = mix * np.outer(vec, vec.conj()) + (1 - mix) * np.eye(2) / 2
     return MdLhsModel(plx, pax, states)
+
+
+def nested_json(key: str, depth: int = 5000) -> str:
+    """{key: [[...]]} with depth nested arrays: deeper than json.loads can parse."""
+    return f'{{"{key}": ' + "[" * depth + "]" * depth + "}"

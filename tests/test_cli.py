@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import nested_json
+
 import mdsteer
 from mdsteer.behaviors import Behavior, pr_box
 from mdsteer.cli import _write_table, main
@@ -50,6 +52,18 @@ class TestEval:
     def test_malformed_json_exits_1(self, tmp_path):
         (tmp_path / "garbage.json").write_text("{not json")
         assert main(["eval", "--in", str(tmp_path / "garbage.json"), "--p", "0.5"]) == 1
+
+    def test_json_too_deep_to_parse_is_an_error_line(self, tmp_path):
+        (tmp_path / "deep.json").write_text(nested_json("probabilities"))
+        argv = ["eval", "--in", "deep.json", "--p", "0.5"]
+        done = subprocess.run(
+            [sys.executable, "-m", "mdsteer.cli", *argv], capture_output=True, text=True,
+            env=checkout_env(), cwd=tmp_path,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: cannot read behavior file: malformed behavior JSON")
+        assert "Traceback" not in done.stderr
 
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["eval", "--in", str(tmp_path / "nope.json"), "--p", "0.5"]) == 1
@@ -243,14 +257,18 @@ class TestNegativeNumberTokens:
         assert "-0.001" in capsys.readouterr().err
 
 
-def run_python(code, cwd=None):
-    """Stdout of ``python -c code`` in a fresh interpreter that finds this checkout's mdsteer."""
+def checkout_env():
+    """The environment of a fresh interpreter that finds this checkout's mdsteer."""
     src = str(Path(mdsteer.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(code, cwd=None):
+    """Stdout of ``python -c code`` in a fresh interpreter that finds this checkout's mdsteer."""
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
-        cwd=cwd,
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=checkout_env(), cwd=cwd,
     ).stdout
 
 

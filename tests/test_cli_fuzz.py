@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import nested_json
+
 from mdsteer.behaviors import pr_box
 from mdsteer.cli import main
 
@@ -63,11 +65,12 @@ def behavior_files(tmp_path_factory):
         data = json.loads(pr_box().to_json())
         data["probabilities"][0][0][0][0] = leaf
         (root / f"{name}.json").write_text(json.dumps(data))
+    (root / "deep.json").write_text(nested_json("probabilities"))
     return root
 
 
 BAD_LEAVES = {"string": "0.5", "true": True, "null": None, "huge": 10**400}
-BAD_FILES = ["nan.json"] + [f"{name}.json" for name in BAD_LEAVES]
+BAD_FILES = ["nan.json", "deep.json"] + [f"{name}.json" for name in BAD_LEAVES]
 
 
 @FUZZ

@@ -6,10 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_mdlhs_model
+from conftest import nested_json, random_mdlhs_model
 
 from mdsteer.behaviors import OUTCOMES, Behavior, pr_box
-from mdsteer.kernel import Direction, TwoQubitState, ValidationError, pure_state
+from mdsteer.kernel import Direction, TwoQubitState, ValidationError, projectors, pure_state
 from mdsteer.steering import (
     SETTINGS,
     Assemblage,
@@ -100,12 +100,14 @@ class TestAssemblageFromMdlhs:
                 )
                 np.testing.assert_allclose(asm.elements[(a, x)], expected, atol=1e-12)
 
-    def test_built_once_per_model(self):
+    def test_each_call_builds_a_new_assemblage(self):
         model = random_mdlhs_model(7)
-        asm = assemblage_from_mdlhs(model)
-        assert assemblage_from_mdlhs(model) is asm
-        mdlhv_decomposition_check(model, [Z, X])
-        assert assemblage_from_mdlhs(model) is asm
+        first, second = assemblage_from_mdlhs(model), assemblage_from_mdlhs(model)
+        assert first is not second
+        assert np.array_equal(first._sigma, second._sigma)
+        for asm in (first, second):
+            with pytest.raises(ValueError, match="read-only"):
+                asm._sigma[0, 0, 0, 0] = 7.0
 
     def test_kept_assemblage_is_read_only(self):
         asm = assemblage_from_mdlhs(random_mdlhs_model(7))
@@ -178,6 +180,26 @@ class TestDecompositionCheck:
         rng = np.random.default_rng(1000 + seed)
         model = random_mdlhs_model(seed, n_lambdas=int(rng.integers(1, 9)))
         assert mdlhv_decomposition_check(model, random_directions(rng, 2)) <= 1e-12
+
+    def test_equals_the_route_through_validated_objects(self):
+        # The check's reference: its two routes through an Assemblage and a Behavior.
+        rng = np.random.default_rng(2024)
+        for seed in range(200):
+            model = random_mdlhs_model(seed, n_lambdas=int(rng.integers(1, 17)))
+            dirs = random_directions(rng, 2)
+            via = behavior_from_assemblage(assemblage_from_mdlhs(model), dirs).probabilities
+            direct = np.einsum(
+                "xn,xna,ybkl,nxlk->xyab",
+                model.p_lambda_given_x, model.p_a_given_x_lambda, projectors(dirs), model.states,
+            ).real
+            expected = float(np.max(np.abs(via - direct)))
+            assert mdlhv_decomposition_check(model, dirs) == expected, seed
+
+    @pytest.mark.parametrize("n_dirs", [1, 3])
+    def test_needs_two_bob_directions(self, n_dirs):
+        message = exactly("exactly two Bob directions required")
+        with pytest.raises(ValidationError, match=message):
+            mdlhv_decomposition_check(random_mdlhs_model(1), [Z, X, Z][:n_dirs])
 
 
 class TestMixAssemblages:
@@ -336,6 +358,10 @@ MALFORMED_MODELS = {
     "float lambdas": corrupt(lambda d: d.update(lambdas=1.0), n_lambdas=1),
     "string lambdas": corrupt(lambda d: d.update(lambdas="1"), n_lambdas=1),
     "bool lambdas": corrupt(lambda d: d.update(lambdas=True), n_lambdas=1),
+    # Text that is no JSON object, or nests deeper than json.loads can parse.
+    "not JSON": "{not json",
+    "a top-level array": "[1, 2]",
+    "states nested 5000 deep": nested_json("states"),
 }
 
 
@@ -377,6 +403,22 @@ def owned_arrays(kind):
 
 
 OWNERS = ["TwoQubitState", "Behavior", "Assemblage", "MdLhsModel"]
+
+BUILDERS = {
+    "TwoQubitState": lambda: pure_state(0.3),
+    "Behavior": pr_box,
+    "Assemblage": maximally_mixed_assemblage,
+    "MdLhsModel": lambda: random_mdlhs_model(3, n_lambdas=2),
+}
+
+
+@pytest.mark.parametrize("kind", OWNERS)
+def test_array_holders_compare_by_identity(kind):
+    first, second = BUILDERS[kind](), BUILDERS[kind]()
+    assert (first == second) is False
+    assert (first != second) is True
+    assert first == first
+    assert len({first, second, first}) == 2
 
 
 class TestOwnedArrays:

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import nested_json
+
 from mdsteer.adversary import md_bound_check
 from mdsteer.behaviors import Behavior, CorrelatorVector, pr_box
 from mdsteer.kernel import (
@@ -140,6 +142,19 @@ class TestJsonNumbers:
         data["probabilities"][0][0][0][0] = NON_NUMBERS[leaf]  # 0.5 in the PR box
         with pytest.raises(ValidationError, match="^probabilities must hold only numbers"):
             Behavior.from_json(json.dumps(data))
+
+
+NO_OBJECT = {
+    "not JSON": "{not json",
+    "a top-level array": "[1, 2]",
+    "nested 5000 deep": nested_json("probabilities"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_OBJECT))
+def test_behavior_json_that_is_no_object(case):
+    with pytest.raises(ValidationError, match="^malformed behavior JSON: "):
+        Behavior.from_json(NO_OBJECT[case])
 
 
 @pytest.mark.parametrize("value", [True, False, 1.0, "1", None])
