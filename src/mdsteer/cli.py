@@ -59,50 +59,47 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _planar_angle(d) -> float:
-    return math.atan2(d.nx, d.nz)
-
-
 def _p_grid(args: argparse.Namespace) -> List[float]:
     require_count("--steps", args.steps, 1)
     require_finite("--p-min and --p-max", args.p_min, args.p_max)
-    if args.steps == 1:
-        return [args.p_min]
     return list(np.linspace(args.p_min, args.p_max, args.steps))
 
 
-def _curve_rows(kind: str, points: Sequence[CurvePoint]) -> tuple:
-    if kind in ("local", "prbox"):
-        header = ["p", "value"]
-        rows = [[pt.p, pt.value] for pt in points]
-    elif kind == "quantum":
-        header = ["p", "value", "theta", "a1", "a2", "b1", "b2"]
-        rows = [
-            [pt.p, pt.value, pt.argmax.theta]
-            + [_planar_angle(d) for d in pt.argmax.directions]
-            for pt in points
-        ]
-    elif kind == "tilted":
-        header = ["p", "value", "delta"]
-        rows = [[pt.p, pt.value, pt.delta] for pt in points]
-    else:
-        header = ["p", "value", "delta", "r"]
-        rows = [[pt.p, pt.value, pt.delta, pt.rate] for pt in points]
-    return header, rows
+def _record(point: CurvePoint) -> dict:
+    """A curve point's columns: p and value, then each field the curve set."""
+    record = {"p": point.p, "value": point.value}
+    if point.argmax is not None:
+        record["theta"] = point.argmax.theta
+        for name, d in zip(("a1", "a2", "b1", "b2"), point.argmax.directions):
+            record[name] = math.atan2(d.nx, d.nz)
+    if point.delta is not None:
+        record["delta"] = point.delta
+    if point.rate is not None:
+        record["r"] = point.rate
+    return record
 
 
-def _write_table(path: Optional[str], header: List[str], rows: List[List[float]], fmt: str) -> None:
+def _table(records: List[dict], fmt: str) -> str:
+    """JSON list of the records, or CSV headed by the first record's keys."""
     if fmt == "json":
-        text = json.dumps([dict(zip(header, row)) for row in rows], allow_nan=False) + "\n"
-    else:
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        return json.dumps(records, allow_nan=False) + "\n"
+    lines = [",".join(records[0])]
+    lines += [",".join(_fmt(v) for v in record.values()) for record in records]
+    return "\n".join(lines) + "\n"
+
+
+def _write(path: Optional[str], text: str) -> int:
+    """Write text to the file at path, or to stdout when path is None; the exit code."""
+    try:
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -130,25 +127,14 @@ def cmd_curve(args: argparse.Namespace) -> int:
     grid = _p_grid(args)
     config = SearchConfig(seed=args.seed)
     points = curve(args.kind, grid, delta=args.delta, gamma=args.gamma, config=config)
-    header, rows = _curve_rows(args.kind, points)
-    try:
-        _write_table(args.out, header, rows, args.format)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    return _write(args.out, _table([_record(point) for point in points], args.format))
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     report = bound_sweep(args.p, args.samples, args.seed)
     text = report.to_json()
-    if args.out is not None:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return EXIT_IO
+    if args.out is not None and _write(args.out, text + "\n") != EXIT_OK:
+        return EXIT_IO
     print(text)
     return EXIT_OK if report.passed else EXIT_BOUND
 

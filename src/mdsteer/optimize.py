@@ -111,27 +111,22 @@ def quantum_value(ansatz: QuantumAnsatz, p: float) -> float:
     return md_operator(CorrelatorVector(e(n1, m1), e(n1, m2), e(n2, m1), e(n2, m2)), p)
 
 
-def _planar_ansatz(params: np.ndarray) -> QuantumAnsatz:
+def _ansatz(params: np.ndarray) -> QuantumAnsatz:
+    """Ansatz of a search vector: theta, then four planar angles or four (azimuth, polar) pairs."""
     theta = float(min(max(params[0], 0.0), math.pi / 2))
-    return QuantumAnsatz(theta, tuple(Direction.planar(a) for a in params[1:5]))
-
-
-def _sphere_ansatz(params: np.ndarray) -> QuantumAnsatz:
-    theta = float(min(max(params[0], 0.0), math.pi / 2))
-    dirs = tuple(
-        Direction.spherical(params[1 + 2 * i], params[2 + 2 * i]) for i in range(4)
-    )
-    return QuantumAnsatz(theta, dirs)
+    if len(params) == 5:
+        directions = tuple(Direction.planar(a) for a in params[1:])
+    else:
+        directions = tuple(Direction.spherical(*pair) for pair in params[1:].reshape(4, 2))
+    return QuantumAnsatz(theta, directions)
 
 
 def quantum_max(p: float, config: SearchConfig = SearchConfig()) -> CurvePoint:
     """Best operator value found over the pure-state ansatz family."""
     require_interval("p", p, BIAS)
-    to_ansatz = _sphere_ansatz if config.full_sphere else _planar_ansatz
-    n_angle_params = 8 if config.full_sphere else 4
 
     def objective(params: np.ndarray) -> float:
-        return -quantum_value(to_ansatz(params), p)
+        return -quantum_value(_ansatz(params), p)
 
     # Coarse grid in the planar parametrization: thetas over [0, pi/2],
     # measurement angles over [0, 2pi). Planar angle a embeds in the sphere
@@ -149,17 +144,9 @@ def quantum_max(p: float, config: SearchConfig = SearchConfig()) -> CurvePoint:
 
     order = np.argsort(values)[::-1]
     starts = [mesh[i] for i in order[: config.restarts]]
-    rng = np.random.default_rng(config.seed)
     if config.full_sphere:
-        for _ in range(config.restarts):
-            starts.append(
-                np.concatenate(
-                    [
-                        [rng.uniform(0.0, math.pi / 2)],
-                        rng.uniform(0.0, 2 * math.pi, n_angle_params),
-                    ]
-                )
-            )
+        rng = np.random.default_rng(config.seed)
+        starts += list(rng.uniform(0.0, [math.pi / 2] + [2 * math.pi] * 8, (config.restarts, 9)))
 
     best_params = mesh[order[0]]
     best_value = float(values[order[0]])
@@ -177,7 +164,7 @@ def quantum_max(p: float, config: SearchConfig = SearchConfig()) -> CurvePoint:
         if -result.fun > best_value:
             best_value = float(-result.fun)
             best_params = result.x
-    return CurvePoint(p=p, value=best_value, argmax=to_ansatz(best_params))
+    return CurvePoint(p=p, value=best_value, argmax=_ansatz(best_params))
 
 
 def curve(

@@ -87,13 +87,6 @@ def mixture_correlators(m: StrategyMixture) -> CorrelatorVector:
     return CorrelatorVector(*total)
 
 
-def saturating_mixture(p: float) -> StrategyMixture:
-    """Equal mixture of chi=1 and chi=3 at xi = -pi/4 attaining 4 p (1 - p)."""
-    s1 = ExtremalStrategy.from_md_parameter(1, -math.pi / 4, p)
-    s3 = ExtremalStrategy.from_md_parameter(3, -math.pi / 4, p)
-    return StrategyMixture([(s1, 0.5), (s3, 0.5)])
-
-
 def general_beta_operator(c: CorrelatorVector, p1: float, p2: float, beta: float) -> float:
     """Operator value for arbitrary measurement overlap beta.
 

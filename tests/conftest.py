@@ -1,8 +1,11 @@
 """Helpers shared by the test modules."""
 
+import math
+
 import numpy as np
 
 from mdsteer.kernel import ValidationError
+from mdsteer.oracle import ExtremalStrategy, StrategyMixture
 from mdsteer.steering import MdLhsModel
 
 
@@ -28,3 +31,10 @@ def random_mdlhs_model(seed: int, n_lambdas: int = 4) -> MdLhsModel:
 def nested_json(key: str, depth: int = 5000) -> str:
     """{key: [[...]]} with depth nested arrays: deeper than json.loads can parse."""
     return f'{{"{key}": ' + "[" * depth + "]" * depth + "}"
+
+
+def saturating_mixture(p: float) -> StrategyMixture:
+    """Equal mixture of chi=1 and chi=3 at xi = -pi/4 attaining 4 p (1 - p)."""
+    s1 = ExtremalStrategy.from_md_parameter(1, -math.pi / 4, p)
+    s3 = ExtremalStrategy.from_md_parameter(3, -math.pi / 4, p)
+    return StrategyMixture([(s1, 0.5), (s3, 0.5)])

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from conftest import random_mdlhs_model
+from conftest import random_mdlhs_model, saturating_mixture
 
 from mdsteer.adversary import BiasModel, marginal_setting_prob
 from mdsteer.behaviors import CorrelatorVector, chsh_value, correlators, tilted_behavior
@@ -20,7 +20,7 @@ from mdsteer.inequality import (
 )
 from mdsteer.kernel import Direction
 from mdsteer.optimize import SearchConfig, quantum_max
-from mdsteer.oracle import bound_sweep, mixture_correlators, saturating_mixture
+from mdsteer.oracle import bound_sweep, mixture_correlators
 from mdsteer.steering import (
     OUTCOMES,
     SETTINGS,

@@ -12,7 +12,7 @@ from conftest import nested_json
 
 import mdsteer
 from mdsteer.behaviors import Behavior, pr_box
-from mdsteer.cli import _write_table, main
+from mdsteer.cli import _table, main
 
 
 def write_behavior(path, behavior):
@@ -164,10 +164,39 @@ class TestCurve:
         assert captured.err.startswith("error:")
         assert "finite" in captured.err
 
-    def test_json_table_rejects_nan(self, capsys):
+    def test_json_table_rejects_nan(self):
         with pytest.raises(ValueError):
-            _write_table(None, ["p", "value"], [[0.0, math.nan]], "json")
-        assert capsys.readouterr().out == ""
+            _table([{"p": 0.0, "value": math.nan}], "json")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "kind, extra, columns",
+        [
+            ("local", [], ["p", "value"]),
+            ("prbox", [], ["p", "value"]),
+            ("quantum", [], ["p", "value", "theta", "a1", "a2", "b1", "b2"]),
+            ("tilted", ["--delta", "0.5235"], ["p", "value", "delta"]),
+            ("randomness", ["--gamma", "0.2617"], ["p", "value", "delta", "r"]),
+        ],
+    )
+    def test_columns_per_kind(self, kind, extra, columns, fmt, capsys):
+        steps = "1" if kind == "quantum" else "3"
+        argv = ["curve", "--kind", kind, *extra, "--steps", steps, "--format", fmt]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if fmt == "csv":
+            lines = out.splitlines()
+            assert lines[0] == ",".join(columns)
+            assert len(lines) == 1 + int(steps)
+        else:
+            records = json.loads(out)
+            assert len(records) == int(steps)
+            assert all(list(record) == columns for record in records)
+
+    def test_one_step_evaluates_p_min_only(self, capsys):
+        argv = ["curve", "--kind", "local", "--p-min", "0.2", "--p-max", "0.4", "--steps", "1"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "p,value\n0.2,0.64\n"
 
 
 class TestOracle:
@@ -194,16 +223,32 @@ class TestOracle:
 
     def test_writes_report_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        main(["oracle", "--p", "0.3", "--samples", "500", "--seed", "5", "--out", str(out)])
+        assert main(["oracle", "--p", "0.3", "--samples", "500", "--seed", "5", "--out", str(out)]) == 0
         record = json.loads(out.read_text())
         assert record["seed"] == 5
         assert record["samples"] == 500
+        assert out.read_text() == capsys.readouterr().out  # the file holds the printed line
 
     def test_deterministic_given_seed(self, capsys):
         main(["oracle", "--p", "0.4", "--samples", "2000", "--seed", "9"])
         first = capsys.readouterr().out
         main(["oracle", "--p", "0.4", "--samples", "2000", "--seed", "9"])
         assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--kind", "local", "--steps", "3"],
+        ["oracle", "--p", "0.3", "--samples", "500", "--seed", "5"],
+    ],
+)
+def test_unwritable_out_exits_1(argv, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "missing" / "out.txt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: cannot write output: ")
 
 
 class TestAdversary:

@@ -89,6 +89,45 @@ class TestQuantumMax:
         assert [(n.nx.hex(), n.nz.hex()) for n in point.argmax.directions] == pinned
         assert all(n.ny == 0.0 for n in point.argmax.directions)
 
+    def test_full_sphere_pinned_bit_for_bit(self):
+        # Pins the full-sphere search: the lifted grid, the spherical map and its
+        # Nelder-Mead runs (numpy 2.4 / scipy 1.17, x86-64).
+        cfg = SearchConfig(restarts=3, grid_density=3, max_iterations=100, full_sphere=True, seed=2)
+        point = quantum_max(0.5, cfg)
+        assert point.value.hex() == "0x1.6a09e667f3bcep+0"
+        assert point.argmax.theta.hex() == "0x1.2b9aca0495186p-15"
+        pinned = [
+            ("-0x1.c2dd7d23a3f08p-1", "-0x1.07d4a71a412b2p-15", "-0x1.e53d8fbd71c87p-2"),
+            ("-0x1.87155292b04ecp-29", "-0x1.c9b25ee61747fp-44", "0x1.0000000000000p+0"),
+            ("-0x1.fe30a174549d4p-28", "-0x1.2a8ba439e1438p-42", "0x1.0000000000000p+0"),
+            ("0x1.7133177893c69p-31", "0x1.b015e881f48fep-46", "0x1.0000000000000p+0"),
+        ]
+        assert [(n.nx.hex(), n.ny.hex(), n.nz.hex()) for n in point.argmax.directions] == pinned
+
+    def test_full_sphere_random_starts(self, monkeypatch):
+        # The grid's best points win in the pin above, so check the random starts
+        # themselves: one draw per start, theta first, from the config's seed.
+        import mdsteer.optimize as optimize
+
+        starts = []
+        real = optimize.minimize
+
+        def recording(fun, x0, **kwargs):
+            starts.append(np.array(x0))
+            return real(fun, x0, **kwargs)
+
+        monkeypatch.setattr(optimize, "minimize", recording)
+        cfg = SearchConfig(restarts=3, grid_density=3, max_iterations=1, full_sphere=True, seed=2)
+        quantum_max(0.5, cfg)
+        rng = np.random.default_rng(2)
+        expected = [
+            np.concatenate([[rng.uniform(0.0, math.pi / 2)], rng.uniform(0.0, 2 * math.pi, 8)])
+            for _ in range(3)
+        ]
+        assert len(starts) == 6
+        for got, want in zip(starts[3:], expected):
+            assert got.tobytes() == want.tobytes()
+
     def test_minimize_looked_up_per_restart(self, monkeypatch):
         # Instrumentation counts Nelder-Mead runs by replacing the module-global
         # mdsteer.optimize.minimize; quantum_max must call it through that name.

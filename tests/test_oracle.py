@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import saturating_mixture
+
 from mdsteer.behaviors import CorrelatorVector
 from mdsteer.inequality import local_bound, md_operator, operator_value
 from mdsteer.kernel import ValidationError
@@ -21,7 +23,6 @@ from mdsteer.oracle import (
     extremal_correlators,
     general_beta_operator,
     mixture_correlators,
-    saturating_mixture,
 )
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -106,24 +105,16 @@ class TestAssemblageFromMdlhs:
         assert first is not second
         assert np.array_equal(first._sigma, second._sigma)
         for asm in (first, second):
-            with pytest.raises(ValueError, match="read-only"):
-                asm._sigma[0, 0, 0, 0] = 7.0
+            for a in [asm._sigma, *asm.elements.values()]:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = 7.0
 
-    def test_kept_assemblage_is_read_only(self):
-        asm = assemblage_from_mdlhs(random_mdlhs_model(7))
-        for a in [asm._sigma, *asm.elements.values()]:
-            with pytest.raises(ValueError, match="read-only"):
-                a[(0,) * a.ndim] = 7.0
-
-    def test_kept_assemblage_leaves_equality_repr_and_json_alone(self):
+    def test_leaves_the_models_repr_and_json_alone(self):
         model = random_mdlhs_model(7)
         before = repr(model), model.to_json()
         assemblage_from_mdlhs(model)
         assert (repr(model), model.to_json()) == before
         assert "_assemblage" not in repr(model)
-        compared = [f.name for f in dataclasses.fields(MdLhsModel) if f.compare]
-        assert compared == ["p_lambda_given_x", "p_a_given_x_lambda", "states"]
-        assert model == model
 
     def test_setting_dependent_distribution_still_normalized(self):
         model = random_mdlhs_model(99)
