@@ -213,9 +213,11 @@ def is_hermitian(m: np.ndarray, tol: float = TOL.eq) -> bool | np.ndarray:
     """Whether m equals its conjugate transpose within tol.
 
     m is one matrix (returns a bool) or a stack (..., n, n) (returns one bool
-    per matrix); non-square input is never Hermitian.
+    per matrix); non-square input, 0-D and 1-D arrays included, is never Hermitian.
     """
     m = np.asarray(m, dtype=complex)
+    if m.ndim < 2:
+        return False
     if m.shape[-1] != m.shape[-2]:
         return _verdict(np.zeros(m.shape[:-2], dtype=bool))
     return _verdict(np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= tol)

@@ -165,7 +165,8 @@ class WeightParams:
     """Inputs to the measurement-dependent weight.
 
     eta maps (a, x) to the mixing weight of the MD-unsteerable component;
-    the two distributions are p(lambda|x1) and p(lambda|x2).
+    the two distributions are p(lambda|x1) and p(lambda|x2), kept as
+    read-only 1-D float copies.
     """
 
     eta: Dict[AssemblageKey, float]
@@ -174,8 +175,11 @@ class WeightParams:
 
     def __post_init__(self) -> None:
         _require_eta(self.eta, OPEN_UNIT)
-        require_distribution("p_lambda_x1", self.p_lambda_x1)
-        require_distribution("p_lambda_x2", self.p_lambda_x2)
+        for name in ("p_lambda_x1", "p_lambda_x2"):
+            probs = require_distribution(name, frozen_copy(getattr(self, name), float))
+            if probs.ndim != 1:
+                raise ValidationError(f"{name} must be 1-D, got shape {probs.shape}")
+            object.__setattr__(self, name, probs)
         if len(self.p_lambda_x1) != len(self.p_lambda_x2):
             raise ValidationError("the two hidden-variable distributions must share an alphabet")
 

@@ -242,6 +242,9 @@ class TestStackedChecks:
         assert is_hermitian(np.ones((2, 3))) is False
         assert is_psd(np.ones((2, 3))) is False
         assert not is_psd(np.ones((4, 2, 3))).any()
+        for m in (np.float64(1.0), np.ones(1), np.ones(2), np.ones(3)):
+            assert is_hermitian(m) is False
+            assert is_psd(m) is False
 
     @pytest.mark.parametrize("seed", range(5))
     def test_2x2_smallest_eigenvalue_at_the_slack(self, seed):

@@ -13,6 +13,7 @@ from mdsteer.inequality import local_bound, md_operator, operator_value
 from mdsteer.kernel import ValidationError
 from mdsteer.oracle import (
     _CHI_SIGNS,
+    EVAL_BLOCK,
     SWEEP_CHUNK,
     XI_GRID_POINTS,
     ExtremalStrategy,
@@ -42,25 +43,49 @@ def sign_gather_correlators(chi, xi, p1, p2, beta=math.pi / 4):
     )
 
 
-def one_shot_sweep_maxima(p, samples, seed, components=4):
-    """(mixture maximum, overall maximum) of the sweep as first written: every sample at once."""
+def chunked_sweep_maxima(p, samples, seed, chunk=SWEEP_CHUNK, components=4):
+    """(mixture maximum, overall maximum) of the sweep drawn and evaluated a whole chunk at a time."""
     rng = np.random.default_rng(seed)
-    chi = rng.integers(1, 5, size=(samples, components))
     xi_grid = np.linspace(-math.pi, math.pi, XI_GRID_POINTS, endpoint=False)
-    use_grid = rng.uniform(size=(samples, components)) < 0.5
-    xi = np.where(
-        use_grid,
-        xi_grid[rng.integers(0, XI_GRID_POINTS, size=(samples, components))],
-        rng.uniform(-math.pi, math.pi, size=(samples, components)),
-    )
-    weights = rng.dirichlet(np.ones(components), size=samples)
     p1, p2 = 1.0 - p, p
-    mixed = np.einsum("sc,esc->es", weights, sign_gather_correlators(chi, xi, p1, p2))
-    max_mixture = float(np.max(operator_value(*mixed, p)))
+    max_mixture = -math.inf
+    for start in range(0, samples, chunk):
+        n = min(chunk, samples - start)
+        chi = rng.integers(1, 5, size=(n, components))
+        use_grid = rng.uniform(size=(n, components)) < 0.5
+        xi = np.where(
+            use_grid,
+            xi_grid[rng.integers(0, XI_GRID_POINTS, size=(n, components))],
+            rng.uniform(-math.pi, math.pi, size=(n, components)),
+        )
+        weights = rng.dirichlet(np.ones(components), size=n)
+        mixed = np.einsum("sc,esc->es", weights, sign_gather_correlators(chi, xi, p1, p2))
+        max_mixture = max(max_mixture, float(np.max(operator_value(*mixed, p))))
     grid_chi = np.repeat(np.arange(1, 5), XI_GRID_POINTS)
     grid_xi = np.tile(xi_grid, 4)
     grid = sign_gather_correlators(grid_chi, grid_xi, p1, p2)
     return max_mixture, max(max_mixture, float(np.max(operator_value(*grid, p))))
+
+
+def recorded_sweep(monkeypatch, p, samples, seed):
+    """bound_sweep's report and the largest value of its mixtures.
+
+    The grid singletons usually set max_operator, so the mixtures' own maximum
+    is read from the operator_value calls before the last one, which is the grid's.
+    """
+    import mdsteer.oracle as oracle
+
+    seen = []
+    real = oracle.operator_value
+
+    def recording(*args):
+        values = real(*args)
+        seen.append(float(np.max(values)))
+        return values
+
+    monkeypatch.setattr(oracle, "operator_value", recording)
+    report = bound_sweep(p, samples, seed)
+    return report, max(seen[:-1])
 
 
 class TestExtremalStrategy:
@@ -210,24 +235,19 @@ class TestBoundSweep:
 
     @pytest.mark.parametrize("samples", [1, 777, SWEEP_CHUNK])
     def test_single_chunk_matches_one_shot_stream(self, samples, monkeypatch):
-        import mdsteer.oracle as oracle
+        report, max_mixture = recorded_sweep(monkeypatch, 0.3, samples, 17)
+        # One chunk of every sample: the sweep as first written.
+        one_shot = chunked_sweep_maxima(0.3, samples, 17, chunk=samples)
+        assert (max_mixture, report.max_operator) == one_shot
 
-        # The grid singletons usually set max_operator, so the mixtures' own
-        # maximum is compared too; it is the first operator_value call.
-        seen = []
-        real = oracle.operator_value
-
-        def recording(*args):
-            values = real(*args)
-            seen.append(values)
-            return values
-
-        monkeypatch.setattr(oracle, "operator_value", recording)
-        report = bound_sweep(0.3, samples, seed=17)
-        assert len(seen) == 2  # one chunk, then the grid
-        max_mixture, max_operator = one_shot_sweep_maxima(0.3, samples, 17)
-        assert float(np.max(seen[0])) == max_mixture
-        assert report.max_operator == max_operator
+    @pytest.mark.parametrize(
+        "samples", [EVAL_BLOCK - 1, EVAL_BLOCK + 1, SWEEP_CHUNK + 1, 3 * SWEEP_CHUNK + 7]
+    )
+    @pytest.mark.parametrize("p, seed", [(0.05, 0), (0.3, 17), (0.35, 8), (0.5, 3)])
+    def test_blocks_match_whole_chunks(self, samples, p, seed, monkeypatch):
+        # Evaluating a chunk in blocks changes no draw and no bit of any value.
+        report, max_mixture = recorded_sweep(monkeypatch, p, samples, seed)
+        assert (max_mixture, report.max_operator) == chunked_sweep_maxima(p, samples, seed)
 
     def test_several_chunks_deterministic_and_sound(self):
         a = bound_sweep(0.35, 2 * SWEEP_CHUNK + 5, seed=8)
@@ -237,14 +257,15 @@ class TestBoundSweep:
         assert a.max_operator == 0.9100000000000004
 
     def test_peak_memory_bounded_by_chunk(self):
-        # The one-shot sweep peaked at 230.8 MB here; chunks keep it flat in samples.
+        # The one-shot sweep peaked at 230.8 MB and whole-chunk evaluation at 20.3 MB;
+        # blocks leave one chunk's compact draws, about 6.5 MB.
         tracemalloc.start()
         try:
             bound_sweep(0.3264, 500_000, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 16 * 2**20
 
     def test_report_json_keys(self):
         import json

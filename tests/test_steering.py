@@ -251,6 +251,18 @@ class TestMdWeight:
         params = WeightParams(eta, np.array([1.0]), np.array([1.0]))
         assert md_weight(params) == pytest.approx(1.0 - 2.0, abs=1e-15)
 
+    def test_lists_kept_as_arrays(self):
+        eta = {(+1, 1): 0.5, (-1, 1): 0.6, (+1, 2): 0.5, (-1, 2): 0.3}
+        params = WeightParams(eta, [0.2, 0.8], [0.2, 0.8])
+        assert isinstance(params.p_lambda_x1, np.ndarray)
+        assert md_weight(params) == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("probs", [1.0, [[0.5], [0.5]]])
+    def test_distributions_must_be_1d(self, probs):
+        eta = {(a, x): 0.4 for a in OUTCOMES for x in SETTINGS}
+        with pytest.raises(ValidationError, match="p_lambda_x1 must be 1-D"):
+            WeightParams(eta, probs, probs)
+
 
 class TestWeightLimitValues:
     def test_full_independence(self):
