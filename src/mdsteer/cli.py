@@ -122,11 +122,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    from .optimize import SearchConfig
-
-    grid = _p_grid(args)
-    config = SearchConfig(seed=args.seed)
-    points = curve(args.kind, grid, delta=args.delta, gamma=args.gamma, config=config)
+    points = curve(args.kind, _p_grid(args), delta=args.delta, gamma=args.gamma)
     return _write(args.out, _table([_record(point) for point in points], args.format))
 
 
@@ -165,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--steps", type=int, default=26)
     p_curve.add_argument("--delta", type=float, default=None)
     p_curve.add_argument("--gamma", type=float, default=None)
-    p_curve.add_argument("--seed", type=int, default=0)
     p_curve.add_argument("--out", default=None)
     p_curve.add_argument("--format", choices=("csv", "json"), default="csv")
     p_curve.set_defaults(func=cmd_curve)

@@ -1,11 +1,11 @@
 """Maximization of the steering operator over two-qubit quantum models.
 
 The ansatz is the pure-state family cos(theta)|00> - sin(theta)|11> with two
-measurement directions per party. The default search is restricted to the
-x-z plane (all explicit constructions in this problem are planar and the
-state family is real); a full-sphere flag lifts that restriction. The search
-is a coarse grid followed by Nelder-Mead refinement from the best grid
-points, deterministic for a fixed config and seed.
+measurement directions per party, all in the x-z plane (every explicit
+construction in this problem is planar and the state family is real;
+tests/test_optimize.py checks that off-plane directions gain nothing). The
+search is a coarse grid followed by Nelder-Mead refinement from the best grid
+points, deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .inequality import (
 )
 from .kernel import (  # noqa: F401
     BIAS,
-    POSITIVE,
     RIGHT_ANGLE,
     Direction,
     ValidationError,
@@ -67,20 +66,19 @@ class CurvePoint:
     argmax: Optional[QuantumAnsatz] = None
 
 
+# Nelder-Mead's xatol and fatol.
+NM_TOL = 1e-7
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     restarts: int = 20
     grid_density: int = 6
-    tol: float = 1e-7
-    seed: int = 0
-    full_sphere: bool = False
     max_iterations: int = 400
 
     def __post_init__(self) -> None:
-        require_count("seed", self.seed)
         for name, least in (("restarts", 0), ("grid_density", 1), ("max_iterations", 1)):
             require_count(name, getattr(self, name), least)
-        require_interval("tol", self.tol, POSITIVE)
 
 
 def minimize(fun, x0, **kwargs):
@@ -112,13 +110,9 @@ def quantum_value(ansatz: QuantumAnsatz, p: float) -> float:
 
 
 def _ansatz(params: np.ndarray) -> QuantumAnsatz:
-    """Ansatz of a search vector: theta, then four planar angles or four (azimuth, polar) pairs."""
+    """Ansatz of a search vector: theta, then the four planar angles."""
     theta = float(min(max(params[0], 0.0), math.pi / 2))
-    if len(params) == 5:
-        directions = tuple(Direction.planar(a) for a in params[1:])
-    else:
-        directions = tuple(Direction.spherical(*pair) for pair in params[1:].reshape(4, 2))
-    return QuantumAnsatz(theta, directions)
+    return QuantumAnsatz(theta, tuple(Direction.planar(a) for a in params[1:]))
 
 
 def quantum_max(p: float, config: SearchConfig = SearchConfig()) -> CurvePoint:
@@ -128,38 +122,22 @@ def quantum_max(p: float, config: SearchConfig = SearchConfig()) -> CurvePoint:
     def objective(params: np.ndarray) -> float:
         return -quantum_value(_ansatz(params), p)
 
-    # Coarse grid in the planar parametrization: thetas over [0, pi/2],
-    # measurement angles over [0, 2pi). Planar angle a embeds in the sphere
-    # as (azimuth, polar) = (0, a), so the grid seeds both search modes.
+    # Coarse grid: thetas over [0, pi/2], measurement angles over [0, 2pi).
     thetas = np.linspace(0.0, math.pi / 2, config.grid_density + 1)
     angles = np.linspace(0.0, 2.0 * math.pi, config.grid_density, endpoint=False)
     grids = [thetas] + [angles] * 4
     mesh = np.stack([g.ravel() for g in np.meshgrid(*grids, indexing="ij")], axis=-1)
-    if config.full_sphere:
-        lifted = np.zeros((mesh.shape[0], 9))
-        lifted[:, 0] = mesh[:, 0]
-        lifted[:, 2::2] = mesh[:, 1:]  # polar angles; azimuths stay 0
-        mesh = lifted
     values = np.array([-objective(row) for row in mesh])
 
     order = np.argsort(values)[::-1]
-    starts = [mesh[i] for i in order[: config.restarts]]
-    if config.full_sphere:
-        rng = np.random.default_rng(config.seed)
-        starts += list(rng.uniform(0.0, [math.pi / 2] + [2 * math.pi] * 8, (config.restarts, 9)))
-
     best_params = mesh[order[0]]
     best_value = float(values[order[0]])
-    for start in starts:
+    for i in order[: config.restarts]:
         result = minimize(
             objective,
-            start,
+            mesh[i],
             method="Nelder-Mead",
-            options={
-                "xatol": config.tol,
-                "fatol": config.tol,
-                "maxiter": config.max_iterations,
-            },
+            options={"xatol": NM_TOL, "fatol": NM_TOL, "maxiter": config.max_iterations},
         )
         if -result.fun > best_value:
             best_value = float(-result.fun)
@@ -172,7 +150,6 @@ def curve(
     p_grid: Sequence[float],
     delta: Optional[float] = None,
     gamma: Optional[float] = None,
-    config: SearchConfig = SearchConfig(),
 ) -> List[CurvePoint]:
     """Per-p values for figure emission.
 
@@ -190,7 +167,7 @@ def curve(
     if kind == "prbox":
         return [CurvePoint(p=p, value=pr_closed_form(p)) for p in p_grid]
     if kind == "quantum":
-        return [quantum_max(p, config) for p in p_grid]
+        return [quantum_max(p) for p in p_grid]
     if kind == "tilted":
         if delta is None:
             raise ValidationError("tilted curve requires delta")

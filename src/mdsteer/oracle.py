@@ -60,7 +60,8 @@ class ExtremalStrategy:
     p2: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.chi not in (1, 2, 3, 4):
+        require_count("chi", self.chi, 1)
+        if self.chi > 4:
             raise ValidationError(f"chi must be in {{1,2,3,4}}, got {self.chi}")
         require_finite("xi", self.xi)
         require_interval("beta", self.beta, RIGHT_ANGLE)

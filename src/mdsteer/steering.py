@@ -164,9 +164,9 @@ class MdLhsModel:
 class WeightParams:
     """Inputs to the measurement-dependent weight.
 
-    eta maps (a, x) to the mixing weight of the MD-unsteerable component;
-    the two distributions are p(lambda|x1) and p(lambda|x2), kept as
-    read-only 1-D float copies.
+    eta maps (a, x) to the mixing weight of the MD-unsteerable component,
+    kept as a copy of its four floats; the two distributions are
+    p(lambda|x1) and p(lambda|x2), kept as read-only 1-D float copies.
     """
 
     eta: Dict[AssemblageKey, float]
@@ -175,6 +175,7 @@ class WeightParams:
 
     def __post_init__(self) -> None:
         _require_eta(self.eta, OPEN_UNIT)
+        object.__setattr__(self, "eta", {key: float(self.eta[key]) for key in _KEYS})
         for name in ("p_lambda_x1", "p_lambda_x2"):
             probs = require_distribution(name, frozen_copy(getattr(self, name), float))
             if probs.ndim != 1:

@@ -149,9 +149,26 @@ class TestCurve:
         assert main(["curve", "--kind", "local", "--steps", "2"]) == 0
         assert capsys.readouterr().out.startswith("p,value")
 
-    def test_negative_seed_exits_2(self, capsys):
-        assert main(["curve", "--kind", "quantum", "--steps", "1", "--seed", "-1"]) == 2
-        assert "seed" in capsys.readouterr().err
+    def test_seed_flag_exits_2(self, capsys):
+        # The search is deterministic and reads no seed, so curve takes none.
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", "--kind", "local", "--steps", "1", "--seed", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    def test_quantum_json_pinned(self, capsys):
+        # The default search end to end, printed bytes and all (numpy 2.4 / scipy 1.17, x86-64).
+        assert main(["curve", "--kind", "quantum", "--steps", "3", "--format", "json"]) == 0
+        assert capsys.readouterr().out == (
+            '[{"p": 0.0, "value": 2.8284271247461903, "theta": 0.2617993877991494,'
+            ' "a1": -1.0471975511965985, "a2": 3.141592653589793, "b1": 3.141592653589793,'
+            ' "b2": 0.0},'
+            ' {"p": 0.25, "value": 2.121320343559643, "theta": 0.0,'
+            ' "a1": 0.0, "a2": 0.0, "b1": 0.0, "b2": 3.141592653589793},'
+            ' {"p": 0.5, "value": 1.4142135623730954, "theta": 1.309165472518171,'
+            ' "a1": -1.8437194421851112e-12, "a2": 2.094673919007646, "b1": 3.141592653510388,'
+            ' "b2": -3.141592653550947}]\n'
+        )
 
     @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning on the way
     @pytest.mark.parametrize(

@@ -90,8 +90,10 @@ def recorded_sweep(monkeypatch, p, samples, seed):
 
 class TestExtremalStrategy:
     def test_invalid_chi(self):
-        with pytest.raises(ValidationError):
-            ExtremalStrategy(chi=5, xi=0.0)
+        # True and 2.0 compare equal to a valid chi but are not integers.
+        for chi in (5, 0, True, 2.0):
+            with pytest.raises(ValidationError, match="chi"):
+                ExtremalStrategy(chi=chi, xi=0.0)
 
     def test_unnormalized_setting_probs(self):
         with pytest.raises(ValidationError):

@@ -257,6 +257,13 @@ class TestMdWeight:
         assert isinstance(params.p_lambda_x1, np.ndarray)
         assert md_weight(params) == pytest.approx(0.5, abs=1e-15)
 
+    def test_eta_copied(self):
+        eta = {(a, x): 0.4 for a in OUTCOMES for x in SETTINGS}
+        params = WeightParams(eta, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+        eta[(-1, 1)] = 0.0
+        assert params.eta[(-1, 1)] == 0.4
+        assert md_weight(params) == 0.0
+
     @pytest.mark.parametrize("probs", [1.0, [[0.5], [0.5]]])
     def test_distributions_must_be_1d(self, probs):
         eta = {(a, x): 0.4 for a in OUTCOMES for x in SETTINGS}
