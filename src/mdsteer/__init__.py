@@ -29,7 +29,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         ("ExtremalStrategy", "StrategyMixture", "bound_sweep", "extremal_correlators",
-         "general_beta_operator", "mixture_correlators"),
+         "mixture_correlators"),
         "oracle",
     ),
     **dict.fromkeys(

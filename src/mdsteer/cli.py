@@ -17,7 +17,7 @@ import numpy as np
 
 from .behaviors import Behavior, correlators, no_signalling_check
 from .inequality import CURVE_KINDS, local_bound, md_operator, violation
-from .kernel import Tolerances, ValidationError, require_count, require_finite
+from .kernel import STEPS, Tolerances, ValidationError, require_finite, require_interval
 
 if TYPE_CHECKING:
     from .optimize import CurvePoint
@@ -60,7 +60,7 @@ def _fmt(x: float) -> str:
 
 
 def _p_grid(args: argparse.Namespace) -> List[float]:
-    require_count("--steps", args.steps, 1)
+    require_interval("--steps", args.steps, STEPS)
     require_finite("--p-min and --p-max", args.p_min, args.p_max)
     return list(np.linspace(args.p_min, args.p_max, args.steps))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .behaviors import CorrelatorVector
-from .kernel import BELL_TILT, BIAS, GAMMA, TILT, UNIT, require_interval
+from .kernel import BELL_TILT, BIAS, GAMMA, OPEN_RIGHT_ANGLE, TILT, UNIT, require_interval
 
 # Figure curves over p: optimize.curve computes them and the CLI offers them.
 CURVE_KINDS = ("local", "prbox", "quantum", "tilted", "randomness")
@@ -34,14 +34,17 @@ def operator_value(e11, e12, e21, e22, p: float, beta: float = math.pi / 4):
     return alpha1**0.5 + alpha2**0.5
 
 
-def md_operator(c: CorrelatorVector, p: float) -> float:
-    """sqrt(alpha1) + sqrt(alpha2) for the given correlators.
+def md_operator(c: CorrelatorVector, p: float, beta: float = math.pi / 4) -> float:
+    """sqrt(alpha1) + sqrt(alpha2) for the given correlators and overlap angle beta in (0, pi/2).
 
+    At beta = pi/4, where the bound 4 p (1 - p) of local_bound holds,
     alpha1 = (p<x1y1> + (1-p)<x2y1>)^2 + (p<x1y2> + (1-p)<x2y2>)^2
     alpha2 = (p<x1y1> - (1-p)<x2y1>)^2 + (p<x1y2> - (1-p)<x2y2>)^2
+    Any other beta adds the -2 A B cos(2 beta) cross-term of operator_value to each alpha.
     """
     require_interval("p", p, BIAS)
-    return operator_value(c.e11, c.e12, c.e21, c.e22, p)
+    require_interval("beta", beta, OPEN_RIGHT_ANGLE)
+    return operator_value(c.e11, c.e12, c.e21, c.e22, p, beta)
 
 
 def local_bound(p: float) -> float:

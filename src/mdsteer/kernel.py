@@ -29,7 +29,7 @@ class ValidationError(ValueError):
 class Tolerances:
     """Numerical tolerances shared by all validation checks.
 
-    eq:    tolerance for equality comparisons (traces, norms, negative probabilities).
+    eq:    tolerance for equality comparisons (norms, Hermiticity, negative probabilities).
     psd:   slack allowed on the smallest eigenvalue of a PSD matrix.
     check: threshold for pass/fail style reports (no-signalling, oracle, independence).
     Sums of probabilities and of traces have their own slack, in ``unnormalized``.
@@ -74,16 +74,17 @@ def require_finite(what: str, *values: float | np.ndarray) -> None:
 # An input domain (text as messages print it, lo, hi); "(" or ")" in text marks an open end.
 # Each domain is written once, here; the comments name the inputs it bounds.
 Interval = Tuple[str, float, float]
-UNIT: Interval = ("[0, 1]", 0.0, 1.0)  # probabilities p(+|x), q; eta of a mixture
+UNIT: Interval = ("[0, 1]", 0.0, 1.0)  # probabilities p(+|x), q; eta of a mixture; strategy p
 OPEN_UNIT: Interval = ("(0, 1)", 0.0, 1.0)  # eta of the weight; p(x1)
 POSITIVE: Interval = ("(0, inf)", 0.0, math.inf)  # eta ratio, tolerances
 BIAS: Interval = ("[0, 0.5]", 0.0, 0.5)  # measurement dependence p, bias bound l
 SWEEP_BIAS: Interval = ("(0, 0.5]", 0.0, 0.5)  # p of the oracle's sweep
 RIGHT_ANGLE: Interval = ("[0, pi/2]", 0.0, math.pi / 2)  # state angle theta, strategy beta
-OPEN_RIGHT_ANGLE: Interval = ("(0, pi/2)", 0.0, math.pi / 2)  # beta of the general operator
+OPEN_RIGHT_ANGLE: Interval = ("(0, pi/2)", 0.0, math.pi / 2)  # beta of md_operator
 TILT: Interval = ("(0, pi/6]", 0.0, math.pi / 6)  # delta of the tilted behavior
 BELL_TILT: Interval = ("(0, pi/4)", 0.0, math.pi / 4)  # delta of the tilted Bell functional
 GAMMA: Interval = ("[0, pi/12]", 0.0, math.pi / 12)  # gamma of the randomness behavior
+STEPS: Interval = ("[1, 10000]", 1, 10000)  # points of a curve: --steps
 
 _NORM_SLACK = 1e-10  # largest |sum - 1| of a normalized distribution, or of traces
 
@@ -322,7 +323,7 @@ class TwoQubitState:
         if not is_hermitian(rho):
             raise ValidationError("density matrix is not Hermitian")
         trace = np.trace(rho).real
-        if abs(trace - 1.0) > TOL.eq:
+        if unnormalized(trace):
             raise ValidationError(f"density trace is {trace}, expected 1")
         if float(np.linalg.eigvalsh(rho).min()) < -TOL.psd:
             raise ValidationError("density matrix is not positive semidefinite")

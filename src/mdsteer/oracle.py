@@ -6,8 +6,8 @@ probabilities for the two measurements trace an ellipse:
 
     2 p_plus(y1) - 1 = cos(xi + beta),   2 p_plus(y2) - 1 = cos(xi - beta),
 
-with beta the measurement-overlap angle (pi/4 by default). Alice's setting
-probabilities are fixed to (p1, p2) = (1 - p, p), so the reweighted
+with beta the measurement-overlap angle (pi/4 by default). Alice picks x1
+with probability 1 - p and x2 with probability p, so the reweighted
 correlators reach magnitude 2 and are handled as abstract vectors rather
 than embedded in normalized behaviors. The oracle samples convex mixtures of
 these extremal strategies and confirms the operator never exceeds the bound.
@@ -28,10 +28,10 @@ import numpy as np
 from .behaviors import CorrelatorVector
 from .inequality import local_bound, operator_value
 from .kernel import (
-    OPEN_RIGHT_ANGLE,
     RIGHT_ANGLE,
     SWEEP_BIAS,
     TOL,
+    UNIT,
     ValidationError,
     require_count,
     require_distribution,
@@ -53,24 +53,20 @@ SWEEP_COMPONENTS = 4
 
 @dataclass(frozen=True)
 class ExtremalStrategy:
+    """Response type chi and state parameter xi; Alice picks x1 with 1 - p and x2 with p."""
+
     chi: int
     xi: float
+    p: float = 0.5
     beta: float = math.pi / 4
-    p1: float = 0.5
-    p2: float = 0.5
 
     def __post_init__(self) -> None:
         require_count("chi", self.chi, 1)
         if self.chi > 4:
             raise ValidationError(f"chi must be in {{1,2,3,4}}, got {self.chi}")
         require_finite("xi", self.xi)
+        require_interval("p", self.p, UNIT)
         require_interval("beta", self.beta, RIGHT_ANGLE)
-        require_distribution("(p1, p2)", (self.p1, self.p2))
-
-    @classmethod
-    def from_md_parameter(cls, chi: int, xi: float, p: float, beta: float = math.pi / 4):
-        """Strategy with the standard assignment p1 = 1 - p, p2 = p."""
-        return cls(chi=chi, xi=xi, beta=beta, p1=1.0 - p, p2=p)
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,7 @@ class StrategyMixture:
 
 def extremal_correlators(s: ExtremalStrategy) -> CorrelatorVector:
     """Reweighted correlator vector of a single extremal strategy."""
-    return CorrelatorVector(*_component_correlators(s.chi, s.xi, s.p1, s.p2, s.beta))
+    return CorrelatorVector(*_component_correlators(s.chi, s.xi, s.p, s.beta))
 
 
 def mixture_correlators(m: StrategyMixture) -> CorrelatorVector:
@@ -91,18 +87,6 @@ def mixture_correlators(m: StrategyMixture) -> CorrelatorVector:
     for s, w in m.weights:
         total += w * extremal_correlators(s).as_array()
     return CorrelatorVector(*total)
-
-
-def general_beta_operator(c: CorrelatorVector, p1: float, p2: float, beta: float) -> float:
-    """Operator value for arbitrary measurement overlap beta.
-
-    The quadratics pick up a -2 A B cos(2 beta) cross-term and the
-    hidden-variable bound becomes 4 p1 p2 sin(2 beta); at beta = pi/4 this
-    reduces to md_operator with (p1, p2) = (1 - p, p).
-    """
-    require_distribution("(p1, p2)", (p1, p2))
-    require_interval("beta", beta, OPEN_RIGHT_ANGLE)
-    return operator_value(c.e11, c.e12, c.e21, c.e22, p2, beta)
 
 
 @dataclass(frozen=True)
@@ -129,16 +113,16 @@ class SweepReport:
 
 
 def _component_correlators(
-    chi: np.ndarray, xi: np.ndarray, p1: float, p2: float, beta: float = math.pi / 4
+    chi: np.ndarray, xi: np.ndarray, p: float, beta: float = math.pi / 4
 ) -> np.ndarray:
     """Reweighted correlators (e11, e12, e21, e22) of extremal strategies; shape (4,) + chi.shape.
 
-    Entry (x, y) is sign_x(chi) * 2 p_x * cos(xi +- beta). The cosines are
-    written into the output and scaled in place by the signed factors
-    sign_x(chi) * 2 p_x; scaling by +-2 is exact, so every entry equals
-    sign * 2.0 * p_x * cos(...) evaluated left to right, bit for bit.
+    Entry (x, y) is sign_x(chi) * 2 p(x) * cos(xi +- beta), with p(x1) = 1 - p
+    and p(x2) = p. The cosines are written into the output and scaled in place
+    by the signed factors sign_x(chi) * 2 p(x); scaling by +-2 is exact, so every
+    entry equals sign * 2.0 * p(x) * cos(...) evaluated left to right, bit for bit.
     """
-    factors = np.take(_CHI_SIGNS * np.array([[2.0 * p1], [2.0 * p2]]), np.asarray(chi) - 1, axis=1)
+    factors = np.take(_CHI_SIGNS * [[2.0 * (1.0 - p)], [2.0 * p]], np.asarray(chi) - 1, axis=1)
     out = np.empty((4,) + np.broadcast_shapes(np.shape(chi), np.shape(xi)))
     cosines, x2 = out[:2], out[2:]
     np.add(xi, beta, out=out[0, ...])
@@ -166,12 +150,11 @@ def _chunk_maximum(rng: np.random.Generator, n: int, xi_grid: np.ndarray, p: flo
     grid_index = rng.integers(0, XI_GRID_POINTS, size=shape).astype(np.int16)
     uniform_xi = rng.uniform(-math.pi, math.pi, size=shape)
     weights = rng.dirichlet(np.ones(SWEEP_COMPONENTS), size=n)
-    p1, p2 = 1.0 - p, p
     best = -math.inf
     for start in range(0, n, EVAL_BLOCK):
         block = slice(start, start + EVAL_BLOCK)
         xi = np.where(use_grid[block], xi_grid[grid_index[block]], uniform_xi[block])
-        components = _component_correlators(chi[block], xi, p1, p2)
+        components = _component_correlators(chi[block], xi, p)
         mixed = np.einsum("sc,esc->es", weights[block], components)
         best = max(best, float(np.max(operator_value(*mixed, p))))
     return best
@@ -205,7 +188,7 @@ def bound_sweep(p: float, samples: int, seed: int) -> SweepReport:
     # Pure grid strategies over every response type.
     grid_chi = np.repeat(np.arange(1, 5), XI_GRID_POINTS)
     grid_xi = np.tile(xi_grid, 4)
-    grid = _component_correlators(grid_chi, grid_xi, 1.0 - p, p)
+    grid = _component_correlators(grid_chi, grid_xi, p)
     max_grid = float(np.max(operator_value(*grid, p)))
 
     max_operator = max(max_mixture, max_grid)

@@ -35,6 +35,6 @@ def nested_json(key: str, depth: int = 5000) -> str:
 
 def saturating_mixture(p: float) -> StrategyMixture:
     """Equal mixture of chi=1 and chi=3 at xi = -pi/4 attaining 4 p (1 - p)."""
-    s1 = ExtremalStrategy.from_md_parameter(1, -math.pi / 4, p)
-    s3 = ExtremalStrategy.from_md_parameter(3, -math.pi / 4, p)
+    s1 = ExtremalStrategy(1, -math.pi / 4, p)
+    s3 = ExtremalStrategy(3, -math.pi / 4, p)
     return StrategyMixture([(s1, 0.5), (s3, 0.5)])

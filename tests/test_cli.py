@@ -89,6 +89,22 @@ class TestEval:
         path = write_behavior(tmp_path / "pr.json", pr_box())
         assert main(["eval", "--in", path, "--p", "0.9"]) == 2
 
+    def test_tolerance_env_sets_the_no_signalling_threshold(self, tmp_path, monkeypatch, capsys):
+        # A PR box whose marginals signal by 1e-7: past the default 1e-9, within 1e-6.
+        probs = np.array(pr_box().probabilities)
+        probs[0, 0, 0, 0] += 1e-7
+        probs[0, 0, 1, 1] -= 1e-7
+        path = write_behavior(tmp_path / "signalling.json", Behavior(probs))
+        verdicts = []
+        for tol in (None, "1e-6"):
+            if tol is not None:
+                monkeypatch.setenv("MDSTEER_TOL", tol)
+            assert main(["eval", "--in", path, "--p", "0.5"]) == 0
+            ns = json.loads(capsys.readouterr().out)["noSignalling"]
+            assert ns["maxDeviation"] == pytest.approx(1e-7, rel=1e-6)
+            verdicts.append(ns["pass"])
+        assert verdicts == [False, True]
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "abc", "-1"])
     def test_bad_tolerance_env_exits_2(self, tol, tmp_path, monkeypatch, capsys):
         path = write_behavior(tmp_path / "pr.json", pr_box())

@@ -38,6 +38,18 @@ class TestMdOperator:
         with pytest.raises(ValidationError):
             md_operator(PR, -0.1)
 
+    @pytest.mark.parametrize("beta", [math.pi / 4, 0.3, 1.2, 1e-9])
+    def test_beta_is_operator_values_bit_for_bit(self, beta):
+        rng = np.random.default_rng(8)
+        for e in rng.uniform(-2.0, 2.0, size=(50, 4)).tolist():
+            for p in (0.0, 0.3264, 0.5):
+                assert md_operator(CorrelatorVector(*e), p, beta) == operator_value(*e, p, beta)
+
+    @pytest.mark.parametrize("beta", [0.0, math.pi / 2, -0.1, math.inf])  # NaN: test_validation
+    def test_beta_outside_open_right_angle_rejected(self, beta):
+        with pytest.raises(ValidationError, match=r"^beta must be in \(0, pi/2\), got "):
+            md_operator(PR, 0.5, beta)
+
 
 class TestOperatorValue:
     def test_scalar_path_returns_float(self):

@@ -161,6 +161,12 @@ class TestTwoQubitState:
         with pytest.raises(ValidationError):
             TwoQubitState(np.eye(4))
 
+    def test_trace_slack_is_that_of_probability_sums(self):
+        # unnormalized's 1e-10, as for MdLhsModel states, Assemblage traces and Behavior sums.
+        TwoQubitState(np.eye(4) / 4 * (1 + 5e-11))
+        with pytest.raises(ValidationError, match="^density trace is 1.0000000002, expected 1$"):
+            TwoQubitState(np.eye(4) / 4 * (1 + 2e-10))
+
     def test_psd_validated(self):
         bad = np.diag([1.5, -0.5, 0, 0]).astype(complex)
         with pytest.raises(ValidationError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -22,22 +23,21 @@ from mdsteer.oracle import (
     _component_correlators,
     bound_sweep,
     extremal_correlators,
-    general_beta_operator,
     mixture_correlators,
 )
 
 
-def sign_gather_correlators(chi, xi, p1, p2, beta=math.pi / 4):
+def sign_gather_correlators(chi, xi, p, beta=math.pi / 4):
     """The chunk kernel as first written: gather +-1 signs, multiply, stack four arrays."""
     c_plus = np.cos(xi + beta)
     c_minus = np.cos(xi - beta)
     sa, sb = _CHI_SIGNS[:, chi - 1]
     return np.stack(
         [
-            sa * 2.0 * p1 * c_plus,
-            sa * 2.0 * p1 * c_minus,
-            sb * 2.0 * p2 * c_plus,
-            sb * 2.0 * p2 * c_minus,
+            sa * 2.0 * (1.0 - p) * c_plus,
+            sa * 2.0 * (1.0 - p) * c_minus,
+            sb * 2.0 * p * c_plus,
+            sb * 2.0 * p * c_minus,
         ],
         axis=0,
     )
@@ -47,7 +47,6 @@ def chunked_sweep_maxima(p, samples, seed, chunk=SWEEP_CHUNK, components=4):
     """(mixture maximum, overall maximum) of the sweep drawn and evaluated a whole chunk at a time."""
     rng = np.random.default_rng(seed)
     xi_grid = np.linspace(-math.pi, math.pi, XI_GRID_POINTS, endpoint=False)
-    p1, p2 = 1.0 - p, p
     max_mixture = -math.inf
     for start in range(0, samples, chunk):
         n = min(chunk, samples - start)
@@ -59,11 +58,11 @@ def chunked_sweep_maxima(p, samples, seed, chunk=SWEEP_CHUNK, components=4):
             rng.uniform(-math.pi, math.pi, size=(n, components)),
         )
         weights = rng.dirichlet(np.ones(components), size=n)
-        mixed = np.einsum("sc,esc->es", weights, sign_gather_correlators(chi, xi, p1, p2))
+        mixed = np.einsum("sc,esc->es", weights, sign_gather_correlators(chi, xi, p))
         max_mixture = max(max_mixture, float(np.max(operator_value(*mixed, p))))
     grid_chi = np.repeat(np.arange(1, 5), XI_GRID_POINTS)
     grid_xi = np.tile(xi_grid, 4)
-    grid = sign_gather_correlators(grid_chi, grid_xi, p1, p2)
+    grid = sign_gather_correlators(grid_chi, grid_xi, p)
     return max_mixture, max(max_mixture, float(np.max(operator_value(*grid, p))))
 
 
@@ -95,14 +94,29 @@ class TestExtremalStrategy:
             with pytest.raises(ValidationError, match="chi"):
                 ExtremalStrategy(chi=chi, xi=0.0)
 
+    def test_bias_outside_unit_rejected(self):
+        # Alice's setting probabilities are (1 - p, p); p = 1.5 is the pair (-0.5, 1.5).
+        for p in (-0.5, 1.5, -1e-300, 1.0000000000000002, math.nan, math.inf):
+            with pytest.raises(ValidationError, match=r"^p must be in \[0, 1\], got "):
+                ExtremalStrategy(chi=1, xi=0.0, p=p)
+
     def test_unnormalized_setting_probs(self):
+        # (1 - p, p) always sums to 1, so a setting pair that is no distribution
+        # has an entry below 0: p = 1.2 is the pair (-0.2, 1.2).
         with pytest.raises(ValidationError):
-            ExtremalStrategy(chi=1, xi=0.0, p1=0.6, p2=0.6)
+            ExtremalStrategy(chi=1, xi=0.0, p=1.2)
+
+    def test_bias_endpoints_accepted(self):
+        for p in (0.0, 1.0):
+            assert ExtremalStrategy(chi=1, xi=0.0, p=p).p == p
+
+    def test_fields_in_positional_order(self):
+        assert [f.name for f in dataclasses.fields(ExtremalStrategy)] == ["chi", "xi", "p", "beta"]
 
 
 class TestExtremalCorrelators:
     def test_worked_example(self):
-        s = ExtremalStrategy.from_md_parameter(1, -math.pi / 4, 0.3)
+        s = ExtremalStrategy(1, -math.pi / 4, 0.3)
         c = extremal_correlators(s)
         np.testing.assert_allclose(c.as_array(), [1.4, 0.0, 0.6, 0.0], atol=1e-12)
 
@@ -115,14 +129,14 @@ class TestExtremalCorrelators:
     def test_antisymmetry(self, xi, beta, p):
         pairs = [(1, 2), (3, 4)]
         for chi_a, chi_b in pairs:
-            ca = extremal_correlators(ExtremalStrategy.from_md_parameter(chi_a, xi, p, beta))
-            cb = extremal_correlators(ExtremalStrategy.from_md_parameter(chi_b, xi, p, beta))
+            ca = extremal_correlators(ExtremalStrategy(chi_a, xi, p, beta))
+            cb = extremal_correlators(ExtremalStrategy(chi_b, xi, p, beta))
             np.testing.assert_array_equal(ca.as_array(), -cb.as_array())
 
     def test_entries_bounded_by_two(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            s = ExtremalStrategy.from_md_parameter(
+            s = ExtremalStrategy(
                 int(rng.integers(1, 5)), rng.uniform(-math.pi, math.pi), rng.uniform(0, 0.5)
             )
             assert np.max(np.abs(extremal_correlators(s).as_array())) <= 2.0
@@ -135,12 +149,12 @@ class TestComponentCorrelators:
         rng = np.random.default_rng(5)
         chi = rng.integers(1, 5, size=(1000, 4))
         xi = rng.uniform(-math.pi, math.pi, size=(1000, 4))
-        got = _component_correlators(chi, xi, 1.0 - p, p, beta)
-        assert np.array_equal(got, sign_gather_correlators(chi, xi, 1.0 - p, p, beta))
+        got = _component_correlators(chi, xi, p, beta)
+        assert np.array_equal(got, sign_gather_correlators(chi, xi, p, beta))
         grid_chi = np.repeat(np.arange(1, 5), 7)
         grid_xi = np.tile(np.linspace(-math.pi, math.pi, 7, endpoint=False), 4)
-        got = _component_correlators(grid_chi, grid_xi, 1.0 - p, p, beta)
-        assert np.array_equal(got, sign_gather_correlators(grid_chi, grid_xi, 1.0 - p, p, beta))
+        got = _component_correlators(grid_chi, grid_xi, p, beta)
+        assert np.array_equal(got, sign_gather_correlators(grid_chi, grid_xi, p, beta))
 
     @given(
         chi=st.integers(1, 4),
@@ -150,28 +164,28 @@ class TestComponentCorrelators:
     )
     @settings(max_examples=200, deadline=None)
     def test_scalars_equal_sign_gather(self, chi, xi, p, beta):
-        got = _component_correlators(chi, xi, 1.0 - p, p, beta)
-        want = sign_gather_correlators(chi, xi, 1.0 - p, p, beta)
+        got = _component_correlators(chi, xi, p, beta)
+        want = sign_gather_correlators(chi, xi, p, beta)
         assert got.shape == want.shape == (4,)
         assert np.array_equal(got, want)
 
 
 class TestMixtureCorrelators:
     def test_singleton(self):
-        s = ExtremalStrategy.from_md_parameter(2, 0.7, 0.2)
+        s = ExtremalStrategy(2, 0.7, 0.2)
         m = StrategyMixture([(s, 1.0)])
         np.testing.assert_array_equal(
             mixture_correlators(m).as_array(), extremal_correlators(s).as_array()
         )
 
     def test_opposite_types_cancel(self):
-        s1 = ExtremalStrategy.from_md_parameter(1, 0.3, 0.4)
-        s2 = ExtremalStrategy.from_md_parameter(2, 0.3, 0.4)
+        s1 = ExtremalStrategy(1, 0.3, 0.4)
+        s2 = ExtremalStrategy(2, 0.3, 0.4)
         m = StrategyMixture([(s1, 0.5), (s2, 0.5)])
         np.testing.assert_allclose(mixture_correlators(m).as_array(), 0.0, atol=1e-15)
 
     def test_weights_validated(self):
-        s = ExtremalStrategy.from_md_parameter(1, 0.0, 0.3)
+        s = ExtremalStrategy(1, 0.0, 0.3)
         with pytest.raises(ValidationError):
             StrategyMixture([(s, 0.7)])
         with pytest.raises(ValidationError):
@@ -185,9 +199,7 @@ class TestMixtureCorrelators:
             weights = rng.dirichlet(np.ones(k))
             parts = [
                 (
-                    ExtremalStrategy.from_md_parameter(
-                        int(rng.integers(1, 5)), rng.uniform(-math.pi, math.pi), p
-                    ),
+                    ExtremalStrategy(int(rng.integers(1, 5)), rng.uniform(-math.pi, math.pi), p),
                     float(w),
                 )
                 for w in weights
@@ -284,33 +296,40 @@ class TestBoundSweep:
 
 
 class TestGeneralBetaOperator:
+    """md_operator at a measurement overlap beta other than pi/4."""
+
     def test_reduces_to_md_operator_at_quarter_pi(self):
+        # At pi/4 the cross-term vanishes and alpha1, alpha2 are md_operator's docstring sums.
         rng = np.random.default_rng(21)
         for _ in range(100):
             c = CorrelatorVector(*rng.uniform(-2, 2, size=4))
             p = rng.uniform(0.01, 0.5)
-            got = general_beta_operator(c, 1 - p, p, math.pi / 4)
-            assert got == pytest.approx(md_operator(c, p), abs=1e-12)
+            x1y1, x1y2, x2y1, x2y2 = p * c.e11, p * c.e12, (1 - p) * c.e21, (1 - p) * c.e22
+            alpha1 = (x1y1 + x2y1) ** 2 + (x1y2 + x2y2) ** 2
+            alpha2 = (x1y1 - x2y1) ** 2 + (x1y2 - x2y2) ** 2
+            got = md_operator(c, p, math.pi / 4)
+            assert got == md_operator(c, p)
+            assert got == pytest.approx(math.sqrt(alpha1) + math.sqrt(alpha2), abs=1e-12)
 
     def test_zero_correlators(self):
-        assert general_beta_operator(CorrelatorVector(0, 0, 0, 0), 0.5, 0.5, 1.0) == 0.0
+        assert md_operator(CorrelatorVector(0, 0, 0, 0), 0.5, 1.0) == 0.0
 
     def test_regression_fixture(self):
-        # frozen: PR correlators, p1 = p2 = 0.5, beta = pi/3 evaluate to 2
+        # frozen: PR correlators, p = 0.5, beta = pi/3 evaluate to 2
         pr = CorrelatorVector(1, 1, 1, -1)
-        assert general_beta_operator(pr, 0.5, 0.5, math.pi / 3) == pytest.approx(2.0, abs=1e-12)
+        assert md_operator(pr, 0.5, math.pi / 3) == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("beta", [math.pi / 6, math.pi / 4, math.pi / 3])
     def test_mixtures_respect_general_bound(self, beta):
         rng = np.random.default_rng(int(beta * 1000))
         p = 0.35
-        bound = 4 * (1 - p) * p * math.sin(2 * beta)
+        bound = 4 * (1 - p) * p * math.sin(2 * beta)  # the hidden-variable bound at beta
         for _ in range(300):
             k = int(rng.integers(1, 5))
             weights = rng.dirichlet(np.ones(k))
             parts = [
                 (
-                    ExtremalStrategy.from_md_parameter(
+                    ExtremalStrategy(
                         int(rng.integers(1, 5)), rng.uniform(-math.pi, math.pi), p, beta
                     ),
                     float(w),
@@ -318,13 +337,13 @@ class TestGeneralBetaOperator:
                 for w in weights
             ]
             c = mixture_correlators(StrategyMixture(parts))
-            assert general_beta_operator(c, 1 - p, p, beta) <= bound + 1e-9
+            assert md_operator(c, p, beta) <= bound + 1e-9
 
 
 class TestEllipseIdentity:
     @pytest.mark.parametrize("beta", [math.pi / 6, math.pi / 4, math.pi / 3])
     def test_outcome_curve_identity(self, beta):
-        # (2p1(y1)-1)^2 + (2p1(y2)-1)^2 - 2(...)(...) cos 2b = sin^2 2b
+        # (2p_plus(y1)-1)^2 + (2p_plus(y2)-1)^2 - 2(...)(...) cos 2b = sin^2 2b
         for xi in np.linspace(-math.pi, math.pi, 361):
             u = math.cos(xi + beta)
             v = math.cos(xi - beta)

@@ -10,6 +10,7 @@ from conftest import nested_json
 
 from mdsteer.adversary import md_bound_check
 from mdsteer.behaviors import Behavior, CorrelatorVector, pr_box
+from mdsteer.inequality import md_operator
 from mdsteer.kernel import (
     BIAS,
     OPEN_RIGHT_ANGLE,
@@ -20,7 +21,7 @@ from mdsteer.kernel import (
     require_interval,
     require_numbers,
 )
-from mdsteer.oracle import ExtremalStrategy, StrategyMixture, general_beta_operator
+from mdsteer.oracle import ExtremalStrategy, StrategyMixture
 from mdsteer.steering import MdLhsModel, WeightParams, weight_limit_values
 
 NAN, INF = math.nan, math.inf
@@ -77,11 +78,11 @@ class TestRequireDistribution:
 # Entry points whose hand-written checks let NaN through, since abs(nan - 1) > tol and
 # nan < 0 are both false; an infinite xi has no check of its own to fail.
 NON_FINITE = {
-    "ExtremalStrategy p1/p2": lambda: ExtremalStrategy(1, 0.0, p1=NAN, p2=NAN),
+    "ExtremalStrategy p": lambda: ExtremalStrategy(1, 0.0, NAN),
     "ExtremalStrategy xi nan": lambda: ExtremalStrategy(1, NAN),
     "ExtremalStrategy xi inf": lambda: ExtremalStrategy(1, INF),
     "StrategyMixture weight": lambda: StrategyMixture([(ExtremalStrategy(1, 0.0), NAN)]),
-    "general_beta_operator": lambda: general_beta_operator(C, NAN, NAN, 0.5),
+    "md_operator beta": lambda: md_operator(C, 0.3, NAN),
     "MdLhsModel p_lambda_given_x": lambda: MdLhsModel(
         np.array([[NAN, 0.5], [0.5, 0.5]]), np.full((2, 2, 2), 0.5), MIXED
     ),
@@ -101,19 +102,12 @@ def test_non_finite_input_rejected(case):
 
 
 class TestSettingProbabilityPair:
-    """Only p1 + p2 was checked, so a pair outside [0, 1] with the right sum got through."""
+    """A setting pair outside [0, 1] that sums to 1 must not get through."""
 
     def test_strategy_rejects_out_of_range_pair(self):
-        with pytest.raises(ValidationError, match="non-negative"):
-            ExtremalStrategy(1, 0.0, p1=1.5, p2=-0.5)
-
-    def test_general_operator_rejects_out_of_range_pair(self):
-        with pytest.raises(ValidationError, match="non-negative"):
-            general_beta_operator(C, 1.5, -0.5, 0.5)
-
-    def test_endpoint_pair_still_accepted(self):
-        ExtremalStrategy(1, 0.0, p1=1.0, p2=0.0)
-        general_beta_operator(C, 1.0, 0.0, 0.5)
+        # The pair (1.5, -0.5) is (1 - p, p) with p = -0.5.
+        with pytest.raises(ValidationError, match=r"^p must be in \[0, 1\], got -0.5"):
+            ExtremalStrategy(1, 0.0, p=-0.5)
 
 
 # JSON leaves that np.array(..., dtype=float) reads as 0.5, 1.0, 0.0 and nan.
