@@ -79,8 +79,8 @@ OPEN_UNIT: Interval = ("(0, 1)", 0.0, 1.0)  # eta of the weight; p(x1)
 POSITIVE: Interval = ("(0, inf)", 0.0, math.inf)  # eta ratio, tolerances
 BIAS: Interval = ("[0, 0.5]", 0.0, 0.5)  # measurement dependence p, bias bound l
 SWEEP_BIAS: Interval = ("(0, 0.5]", 0.0, 0.5)  # p of the oracle's sweep
-RIGHT_ANGLE: Interval = ("[0, pi/2]", 0.0, math.pi / 2)  # state angle theta, strategy beta
-OPEN_RIGHT_ANGLE: Interval = ("(0, pi/2)", 0.0, math.pi / 2)  # beta of md_operator
+RIGHT_ANGLE: Interval = ("[0, pi/2]", 0.0, math.pi / 2)  # state angle theta
+OPEN_RIGHT_ANGLE: Interval = ("(0, pi/2)", 0.0, math.pi / 2)  # beta of md_operator, strategy beta
 TILT: Interval = ("(0, pi/6]", 0.0, math.pi / 6)  # delta of the tilted behavior
 BELL_TILT: Interval = ("(0, pi/4)", 0.0, math.pi / 4)  # delta of the tilted Bell functional
 GAMMA: Interval = ("[0, pi/12]", 0.0, math.pi / 12)  # gamma of the randomness behavior

@@ -11,13 +11,15 @@ with probability 1 - p and x2 with probability p, so the reweighted
 correlators reach magnitude 2 and are handled as abstract vectors rather
 than embedded in normalized behaviors. The oracle samples convex mixtures of
 these extremal strategies and confirms the operator never exceeds the bound.
-It draws the mixtures a chunk of SWEEP_CHUNK samples at a time and evaluates
-each chunk in blocks of EVAL_BLOCK samples, so its memory is that of one
-chunk's compact draws whatever the number of samples.
+The random stream is that of drawing the mixtures a chunk of SWEEP_CHUNK
+samples at a time, each chunk's arrays whole. The oracle reads that stream
+EVAL_BLOCK samples at a time, through one generator cursor per array, so its
+memory is that of one block's draws whatever the number of samples.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ import numpy as np
 from .behaviors import CorrelatorVector
 from .inequality import local_bound, operator_value
 from .kernel import (
-    RIGHT_ANGLE,
+    OPEN_RIGHT_ANGLE,
     SWEEP_BIAS,
     TOL,
     UNIT,
@@ -43,9 +45,10 @@ from .kernel import (
 _CHI_SIGNS = np.array([[+1.0, -1.0, +1.0, -1.0], [+1.0, -1.0, -1.0, +1.0]])
 
 XI_GRID_POINTS = 720
-# Samples drawn at once by bound_sweep; its draws fix the generator's stream.
+# Samples per chunk of bound_sweep's stream: each chunk's arrays are drawn in turn,
+# so this fixes which random number goes where, and sets no memory.
 SWEEP_CHUNK = 1 << 16
-# Samples of a chunk evaluated at once; bounds the float working set of the evaluation.
+# Samples drawn and evaluated at once; sets bound_sweep's memory, and no number.
 EVAL_BLOCK = 1 << 12
 # Extremal strategies mixed in each sample of bound_sweep.
 SWEEP_COMPONENTS = 4
@@ -66,7 +69,7 @@ class ExtremalStrategy:
             raise ValidationError(f"chi must be in {{1,2,3,4}}, got {self.chi}")
         require_finite("xi", self.xi)
         require_interval("p", self.p, UNIT)
-        require_interval("beta", self.beta, RIGHT_ANGLE)
+        require_interval("beta", self.beta, OPEN_RIGHT_ANGLE)
 
 
 @dataclass(frozen=True)
@@ -133,29 +136,55 @@ def _component_correlators(
     return out
 
 
-def _chunk_maximum(rng: np.random.Generator, n: int, xi_grid: np.ndarray, p: float) -> float:
-    """Largest operator value over n mixtures drawn from rng, evaluated EVAL_BLOCK at a time.
+def _skip_uniform(rng: np.random.Generator, count: int) -> None:
+    """Move rng past count uniform doubles, as drawing them would.
 
-    The generator is called as for drawing and evaluating the chunk whole (same
-    calls, order, sizes and dtypes), so the stream does not depend on EVAL_BLOCK.
-    The draws are kept compactly (chi as int8, the grid index as int16, both
-    exact) and xi is built per block. Each entry of the einsum and of
-    operator_value depends on its own sample only, so the blocks give the whole
-    chunk's values bit for bit. The draws are locals, freed on return, so one
-    chunk's draws are gone before the next chunk is drawn.
+    Each double takes one 64-bit output and leaves PCG64's buffered 32-bit
+    half-word alone; advance clears that half-word, so it is put back.
     """
-    shape = (n, SWEEP_COMPONENTS)
-    chi = rng.integers(1, 5, size=shape).astype(np.int8)
-    use_grid = rng.uniform(size=shape) < 0.5
-    grid_index = rng.integers(0, XI_GRID_POINTS, size=shape).astype(np.int16)
-    uniform_xi = rng.uniform(-math.pi, math.pi, size=shape)
-    weights = rng.dirichlet(np.ones(SWEEP_COMPONENTS), size=n)
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    bit_generator.advance(count)
+    buffered = {key: state[key] for key in ("has_uint32", "uinteger")}
+    bit_generator.state = {**bit_generator.state, **buffered}
+
+
+def _chunk_maximum(rng: np.random.Generator, n: int, xi_grid: np.ndarray, p: float) -> float:
+    """Largest operator value over n mixtures drawn from rng, EVAL_BLOCK at a time.
+
+    The chunk's stream is five draws in turn: the response types chi, the grid
+    mask, the grid index, the uniform xi and the Dirichlet weights. The first
+    four are read through cursors, copies of rng (buffered half-word included)
+    placed where each draw starts; the weights are read from rng itself, which
+    thus ends where drawing the chunk whole leaves it. The cursors are placed by
+    drawing the integer draws through, block by block, and discarding them (the
+    grid index rejects some words, so only drawing it gives its length), and by
+    _skip_uniform over the uniform spans. Each block takes its rows from every
+    cursor with the calls, order, sizes and dtypes of the whole-chunk draw, so
+    it gets the whole chunk's rows bit for bit. Each entry of the einsum and of
+    operator_value depends on its own sample only, so the maximum is the whole
+    chunk's too, and memory is one block's draws.
+    """
+    shapes = [(min(EVAL_BLOCK, n - start), SWEEP_COMPONENTS) for start in range(0, n, EVAL_BLOCK)]
+    chi_cursor = copy.deepcopy(rng)
+    for shape in shapes:
+        rng.integers(1, 5, size=shape)
+    mask_cursor = copy.deepcopy(rng)
+    _skip_uniform(rng, n * SWEEP_COMPONENTS)
+    grid_cursor = copy.deepcopy(rng)
+    for shape in shapes:
+        rng.integers(0, XI_GRID_POINTS, size=shape)
+    xi_cursor = copy.deepcopy(rng)
+    _skip_uniform(rng, n * SWEEP_COMPONENTS)
     best = -math.inf
-    for start in range(0, n, EVAL_BLOCK):
-        block = slice(start, start + EVAL_BLOCK)
-        xi = np.where(use_grid[block], xi_grid[grid_index[block]], uniform_xi[block])
-        components = _component_correlators(chi[block], xi, p)
-        mixed = np.einsum("sc,esc->es", weights[block], components)
+    for shape in shapes:
+        chi = chi_cursor.integers(1, 5, size=shape)
+        use_grid = mask_cursor.uniform(size=shape) < 0.5
+        grid_xi = xi_grid[grid_cursor.integers(0, XI_GRID_POINTS, size=shape)]
+        xi = np.where(use_grid, grid_xi, xi_cursor.uniform(-math.pi, math.pi, size=shape))
+        weights = rng.dirichlet(np.ones(SWEEP_COMPONENTS), size=shape[0])
+        components = _component_correlators(chi, xi, p)
+        mixed = np.einsum("sc,esc->es", weights, components)
         best = max(best, float(np.max(operator_value(*mixed, p))))
     return best
 
@@ -167,12 +196,13 @@ def bound_sweep(p: float, samples: int, seed: int) -> SweepReport:
     weights; response types are uniform over {1..4} and xi is drawn half the
     time from a uniform 720-point grid and half the time uniformly from
     [-pi, pi). All pure grid strategies are also evaluated as singleton
-    mixtures, so the reported maximum approaches the bound. Samples are drawn
-    from one generator of the given seed in chunks of at most SWEEP_CHUNK, and
-    each chunk, drawn whole, is evaluated EVAL_BLOCK samples at a time. Peak
-    memory is thus set by one chunk's compact draws, not by ``samples``: 6.5 MB
-    under tracemalloc for 500 000 samples. A run of at most SWEEP_CHUNK samples
-    is a single chunk and gives the same numbers as drawing and evaluating every
+    mixtures, so the reported maximum approaches the bound. The samples are
+    those of drawing one generator of the given seed in chunks of at most
+    SWEEP_CHUNK, each chunk's arrays whole; they are drawn and evaluated
+    EVAL_BLOCK samples at a time (see _chunk_maximum). Peak memory is thus set
+    by one block's draws, not by ``samples``: 1.9 MB under tracemalloc for
+    20 000 and for 500 000 samples. A run of at most SWEEP_CHUNK samples is a
+    single chunk and gives the same numbers as drawing and evaluating every
     sample at once.
     """
     require_interval("p", p, SWEEP_BIAS)

@@ -37,8 +37,13 @@ class TestRequireInterval:
 
     @pytest.mark.parametrize("value", [0.0, math.pi / 2])
     def test_open_ends_rejected(self, value):
-        with pytest.raises(ValidationError, match=r"^beta must be in \(0, pi/2\), got "):
-            require_interval("beta", value, OPEN_RIGHT_ANGLE)
+        # A strategy's beta has the domain of the operator that scores it.
+        for refused in (
+            lambda: require_interval("beta", value, OPEN_RIGHT_ANGLE),
+            lambda: ExtremalStrategy(1, 0.0, 0.3, value),
+        ):
+            with pytest.raises(ValidationError, match=r"^beta must be in \(0, pi/2\), got "):
+                refused()
 
     @pytest.mark.parametrize("value", [NAN, INF, -INF, -1e-300, 0.5000000000000001])
     def test_non_finite_and_outside_rejected(self, value):
