@@ -11,15 +11,15 @@ with probability 1 - p and x2 with probability p, so the reweighted
 correlators reach magnitude 2 and are handled as abstract vectors rather
 than embedded in normalized behaviors. The oracle samples convex mixtures of
 these extremal strategies and confirms the operator never exceeds the bound.
-The random stream is that of drawing the mixtures a chunk of SWEEP_CHUNK
-samples at a time, each chunk's arrays whole. The oracle reads that stream
-EVAL_BLOCK samples at a time, through one generator cursor per array, so its
-memory is that of one block's draws whatever the number of samples.
+The mixtures are drawn and evaluated EVAL_BLOCK samples at a time from one
+generator, so memory is that of one block's draws whatever the number of
+samples. At beta = pi/4 every extremal strategy reaches the bound and the
+mixtures stay on or below it, so the printed maximum is that of the xi grid,
+or a few ulps above it, however the mixtures are drawn.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass
@@ -45,10 +45,9 @@ from .kernel import (
 _CHI_SIGNS = np.array([[+1.0, -1.0, +1.0, -1.0], [+1.0, -1.0, -1.0, +1.0]])
 
 XI_GRID_POINTS = 720
-# Samples per chunk of bound_sweep's stream: each chunk's arrays are drawn in turn,
-# so this fixes which random number goes where, and sets no memory.
-SWEEP_CHUNK = 1 << 16
-# Samples drawn and evaluated at once; sets bound_sweep's memory, and no number.
+# Samples drawn and evaluated at once: sets bound_sweep's memory (one block's
+# draws) and the layout of its random stream, which moves the printed maximum
+# by rounding at most (see bound_sweep).
 EVAL_BLOCK = 1 << 12
 # Extremal strategies mixed in each sample of bound_sweep.
 SWEEP_COMPONENTS = 4
@@ -136,59 +135,6 @@ def _component_correlators(
     return out
 
 
-def _skip_uniform(rng: np.random.Generator, count: int) -> None:
-    """Move rng past count uniform doubles, as drawing them would.
-
-    Each double takes one 64-bit output and leaves PCG64's buffered 32-bit
-    half-word alone; advance clears that half-word, so it is put back.
-    """
-    bit_generator = rng.bit_generator
-    state = bit_generator.state
-    bit_generator.advance(count)
-    buffered = {key: state[key] for key in ("has_uint32", "uinteger")}
-    bit_generator.state = {**bit_generator.state, **buffered}
-
-
-def _chunk_maximum(rng: np.random.Generator, n: int, xi_grid: np.ndarray, p: float) -> float:
-    """Largest operator value over n mixtures drawn from rng, EVAL_BLOCK at a time.
-
-    The chunk's stream is five draws in turn: the response types chi, the grid
-    mask, the grid index, the uniform xi and the Dirichlet weights. The first
-    four are read through cursors, copies of rng (buffered half-word included)
-    placed where each draw starts; the weights are read from rng itself, which
-    thus ends where drawing the chunk whole leaves it. The cursors are placed by
-    drawing the integer draws through, block by block, and discarding them (the
-    grid index rejects some words, so only drawing it gives its length), and by
-    _skip_uniform over the uniform spans. Each block takes its rows from every
-    cursor with the calls, order, sizes and dtypes of the whole-chunk draw, so
-    it gets the whole chunk's rows bit for bit. Each entry of the einsum and of
-    operator_value depends on its own sample only, so the maximum is the whole
-    chunk's too, and memory is one block's draws.
-    """
-    shapes = [(min(EVAL_BLOCK, n - start), SWEEP_COMPONENTS) for start in range(0, n, EVAL_BLOCK)]
-    chi_cursor = copy.deepcopy(rng)
-    for shape in shapes:
-        rng.integers(1, 5, size=shape)
-    mask_cursor = copy.deepcopy(rng)
-    _skip_uniform(rng, n * SWEEP_COMPONENTS)
-    grid_cursor = copy.deepcopy(rng)
-    for shape in shapes:
-        rng.integers(0, XI_GRID_POINTS, size=shape)
-    xi_cursor = copy.deepcopy(rng)
-    _skip_uniform(rng, n * SWEEP_COMPONENTS)
-    best = -math.inf
-    for shape in shapes:
-        chi = chi_cursor.integers(1, 5, size=shape)
-        use_grid = mask_cursor.uniform(size=shape) < 0.5
-        grid_xi = xi_grid[grid_cursor.integers(0, XI_GRID_POINTS, size=shape)]
-        xi = np.where(use_grid, grid_xi, xi_cursor.uniform(-math.pi, math.pi, size=shape))
-        weights = rng.dirichlet(np.ones(SWEEP_COMPONENTS), size=shape[0])
-        components = _component_correlators(chi, xi, p)
-        mixed = np.einsum("sc,esc->es", weights, components)
-        best = max(best, float(np.max(operator_value(*mixed, p))))
-    return best
-
-
 def bound_sweep(p: float, samples: int, seed: int) -> SweepReport:
     """Sample random strategy mixtures and report the largest operator value.
 
@@ -197,23 +143,32 @@ def bound_sweep(p: float, samples: int, seed: int) -> SweepReport:
     time from a uniform 720-point grid and half the time uniformly from
     [-pi, pi). All pure grid strategies are also evaluated as singleton
     mixtures, so the reported maximum approaches the bound. The samples are
-    those of drawing one generator of the given seed in chunks of at most
-    SWEEP_CHUNK, each chunk's arrays whole; they are drawn and evaluated
-    EVAL_BLOCK samples at a time (see _chunk_maximum). Peak memory is thus set
-    by one block's draws, not by ``samples``: 1.9 MB under tracemalloc for
-    20 000 and for 500 000 samples. A run of at most SWEEP_CHUNK samples is a
-    single chunk and gives the same numbers as drawing and evaluating every
-    sample at once.
+    drawn from one generator of the given seed, EVAL_BLOCK at a time: each
+    block draws chi, the grid mask, the grid index, the uniform xi and the
+    weights in turn. Peak memory is thus one block's draws, not ``samples``:
+    1.4 MB under tracemalloc for 20 000 and for 500 000 samples. At beta =
+    pi/4 every grid singleton sits on the bound, to rounding. A mixture
+    reaches the bound only if its components of chi in {1, 2} coincide and so
+    do those of chi in {3, 4}; rounding then puts it at most a few ulps above
+    the grid's maximum. So max_operator is the grid's maximum, or a few ulps
+    above it, whatever the stream's layout (for p above about 1e-150; below
+    that, operator_value's squares underflow).
     """
     require_interval("p", p, SWEEP_BIAS)
     require_count("samples", samples, 1)
     require_count("seed", seed)
     rng = np.random.default_rng(seed)
     xi_grid = np.linspace(-math.pi, math.pi, XI_GRID_POINTS, endpoint=False)
-    max_mixture = max(
-        _chunk_maximum(rng, min(SWEEP_CHUNK, samples - start), xi_grid, p)
-        for start in range(0, samples, SWEEP_CHUNK)
-    )
+    max_mixture = -math.inf
+    for start in range(0, samples, EVAL_BLOCK):
+        shape = (min(EVAL_BLOCK, samples - start), SWEEP_COMPONENTS)
+        chi = rng.integers(1, 5, size=shape)
+        use_grid = rng.uniform(size=shape) < 0.5
+        on_grid = xi_grid[rng.integers(0, XI_GRID_POINTS, size=shape)]
+        xi = np.where(use_grid, on_grid, rng.uniform(-math.pi, math.pi, size=shape))
+        weights = rng.dirichlet(np.ones(SWEEP_COMPONENTS), size=shape[0])
+        mixed = np.einsum("sc,esc->es", weights, _component_correlators(chi, xi, p))
+        max_mixture = max(max_mixture, float(np.max(operator_value(*mixed, p))))
 
     # Pure grid strategies over every response type.
     grid_chi = np.repeat(np.arange(1, 5), XI_GRID_POINTS)
