@@ -165,8 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--format", choices=("csv", "json"), default="csv")
     p_curve.set_defaults(func=cmd_curve)
 
-    p_oracle = sub.add_parser("oracle", help="sample hidden-variable mixtures against the bound")
+    p_oracle = sub.add_parser("oracle", help="exact hidden-variable maximum against the bound")
     p_oracle.add_argument("--p", type=float, required=True)
+    # Validated and echoed in the record; neither changes maxI.
     p_oracle.add_argument("--samples", type=int, default=100_000)
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.add_argument("--out", default=None)

@@ -1,4 +1,4 @@
-"""Brute-force oracle for the measurement-dependent steering bound.
+"""Exact oracle for the measurement-dependent steering bound.
 
 Hidden-variable strategies are parametrized by a deterministic response type
 chi in {1, 2, 3, 4} for Alice and a state parameter xi for Bob, whose outcome
@@ -9,13 +9,11 @@ probabilities for the two measurements trace an ellipse:
 with beta the measurement-overlap angle (pi/4 by default). Alice picks x1
 with probability 1 - p and x2 with probability p, so the reweighted
 correlators reach magnitude 2 and are handled as abstract vectors rather
-than embedded in normalized behaviors. The oracle samples convex mixtures of
-these extremal strategies and confirms the operator never exceeds the bound.
-The mixtures are drawn and evaluated EVAL_BLOCK samples at a time from one
-generator, so memory is that of one block's draws whatever the number of
-samples. At beta = pi/4 every extremal strategy reaches the bound and the
-mixtures stay on or below it, so the printed maximum is that of the xi grid,
-or a few ulps above it, however the mixtures are drawn.
+than embedded in normalized behaviors. The operator is convex in the
+correlators and a mixture's correlators are the weighted sum of its
+components', so no mixture exceeds its best extremal strategy. The oracle
+therefore evaluates the 4 x XI_GRID_POINTS grid vertices once and reports
+their exact maximum with a vertex that attains it; it draws no random number.
 """
 
 from __future__ import annotations
@@ -45,12 +43,6 @@ from .kernel import (
 _CHI_SIGNS = np.array([[+1.0, -1.0, +1.0, -1.0], [+1.0, -1.0, -1.0, +1.0]])
 
 XI_GRID_POINTS = 720
-# Samples drawn and evaluated at once: sets bound_sweep's memory (one block's
-# draws) and the layout of its random stream, which moves the printed maximum
-# by rounding at most (see bound_sweep).
-EVAL_BLOCK = 1 << 12
-# Extremal strategies mixed in each sample of bound_sweep.
-SWEEP_COMPONENTS = 4
 
 
 @dataclass(frozen=True)
@@ -135,48 +127,35 @@ def _component_correlators(
     return out
 
 
-def bound_sweep(p: float, samples: int, seed: int) -> SweepReport:
-    """Sample random strategy mixtures and report the largest operator value.
+def vertex_maximum(p: float) -> Tuple[float, ExtremalStrategy]:
+    """Largest operator value over the grid vertices at beta = pi/4, and a vertex attaining it.
 
-    Every sample mixes SWEEP_COMPONENTS extremal strategies with Dirichlet
-    weights; response types are uniform over {1..4} and xi is drawn half the
-    time from a uniform 720-point grid and half the time uniformly from
-    [-pi, pi). All pure grid strategies are also evaluated as singleton
-    mixtures, so the reported maximum approaches the bound. The samples are
-    drawn from one generator of the given seed, EVAL_BLOCK at a time: each
-    block draws chi, the grid mask, the grid index, the uniform xi and the
-    weights in turn. Peak memory is thus one block's draws, not ``samples``:
-    1.4 MB under tracemalloc for 20 000 and for 500 000 samples. At beta =
-    pi/4 every grid singleton sits on the bound, to rounding. A mixture
-    reaches the bound only if its components of chi in {1, 2} coincide and so
-    do those of chi in {3, 4}; rounding then puts it at most a few ulps above
-    the grid's maximum. So max_operator is the grid's maximum, or a few ulps
-    above it, whatever the stream's layout (for p above about 1e-150; below
-    that, operator_value's squares underflow).
+    The vertices are every response type chi in {1..4} at each of the
+    XI_GRID_POINTS values of xi evenly spaced over [-pi, pi). By convexity the
+    value is also the maximum over all mixtures of these vertices. At beta =
+    pi/4 every vertex sits on the bound 4 p (1 - p), to rounding, for p above
+    about 1e-150; below that, operator_value's squares underflow.
     """
     require_interval("p", p, SWEEP_BIAS)
+    xi_grid = np.linspace(-math.pi, math.pi, XI_GRID_POINTS, endpoint=False)
+    chi = np.repeat(np.arange(1, 5), XI_GRID_POINTS)
+    values = operator_value(*_component_correlators(chi, np.tile(xi_grid, 4), p), p)
+    best = int(np.argmax(values))
+    witness = ExtremalStrategy(int(chi[best]), float(xi_grid[best % XI_GRID_POINTS]), p)
+    return float(values[best]), witness
+
+
+def bound_sweep(p: float, samples: int, seed: int) -> SweepReport:
+    """Report the exact vertex maximum of the operator against the bound 4 p (1 - p).
+
+    max_operator is vertex_maximum(p)[0], which no mixture exceeds. samples
+    and seed are validated and echoed in the report but change nothing: no
+    random number is drawn. They stay while the benchmark's record check
+    fixes the record's fields.
+    """
+    max_operator = vertex_maximum(p)[0]  # checks p first
     require_count("samples", samples, 1)
     require_count("seed", seed)
-    rng = np.random.default_rng(seed)
-    xi_grid = np.linspace(-math.pi, math.pi, XI_GRID_POINTS, endpoint=False)
-    max_mixture = -math.inf
-    for start in range(0, samples, EVAL_BLOCK):
-        shape = (min(EVAL_BLOCK, samples - start), SWEEP_COMPONENTS)
-        chi = rng.integers(1, 5, size=shape)
-        use_grid = rng.uniform(size=shape) < 0.5
-        on_grid = xi_grid[rng.integers(0, XI_GRID_POINTS, size=shape)]
-        xi = np.where(use_grid, on_grid, rng.uniform(-math.pi, math.pi, size=shape))
-        weights = rng.dirichlet(np.ones(SWEEP_COMPONENTS), size=shape[0])
-        mixed = np.einsum("sc,esc->es", weights, _component_correlators(chi, xi, p))
-        max_mixture = max(max_mixture, float(np.max(operator_value(*mixed, p))))
-
-    # Pure grid strategies over every response type.
-    grid_chi = np.repeat(np.arange(1, 5), XI_GRID_POINTS)
-    grid_xi = np.tile(xi_grid, 4)
-    grid = _component_correlators(grid_chi, grid_xi, p)
-    max_grid = float(np.max(operator_value(*grid, p)))
-
-    max_operator = max(max_mixture, max_grid)
     bound = local_bound(p)
     return SweepReport(
         p=p,

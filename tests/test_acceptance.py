@@ -14,13 +14,14 @@ from mdsteer.behaviors import CorrelatorVector, chsh_value, correlators, tilted_
 from mdsteer.inequality import (
     local_bound,
     md_operator,
+    operator_value,
     pr_closed_form,
     randomness_rate,
     tilted_closed_form,
 )
 from mdsteer.kernel import Direction
 from mdsteer.optimize import SearchConfig, quantum_max
-from mdsteer.oracle import bound_sweep, mixture_correlators
+from mdsteer.oracle import XI_GRID_POINTS, _component_correlators, bound_sweep, mixture_correlators
 from mdsteer.steering import (
     OUTCOMES,
     SETTINGS,
@@ -52,14 +53,36 @@ def test_criterion_2_pr_box_consistency():
     report(2, "PR-box operator matches 2 sqrt(2 - 4p(1-p)) on 101-point grid", ok)
 
 
+def random_mixtures(rng, n, p):
+    """Reweighted correlators, shape (4, n), of n Dirichlet mixtures of four extremal strategies.
+
+    Each component has a uniform response type; its xi is, with probability
+    1/2, a point of the oracle's xi grid and otherwise uniform on [-pi, pi).
+    """
+    shape = (n, 4)
+    chi = rng.integers(1, 5, size=shape)
+    use_grid = rng.uniform(size=shape) < 0.5
+    xi_grid = np.linspace(-math.pi, math.pi, XI_GRID_POINTS, endpoint=False)
+    on_grid = xi_grid[rng.integers(0, XI_GRID_POINTS, size=shape)]
+    xi = np.where(use_grid, on_grid, rng.uniform(-math.pi, math.pi, size=shape))
+    weights = rng.dirichlet(np.ones(4), size=n)
+    return np.einsum("sc,esc->es", weights, _component_correlators(chi, xi, p))
+
+
 def test_criterion_3_oracle_soundness():
     ok = True
     for i, p in enumerate((0.1, 0.2, 0.3, 0.4, 0.5)):
         rep = bound_sweep(p, 100_000, seed=1000 + i)
         ok = ok and rep.max_operator <= rep.bound + 1e-9
+        mixed = random_mixtures(np.random.default_rng(1000 + i), 100_000, p)
+        max_mixed = float(np.max(operator_value(*mixed, p)))
+        ok = ok and max_mixed <= rep.bound + 1e-9
+        # Convexity: no mixture beats the vertex maximum but by rounding.
+        ok = ok and max_mixed <= rep.max_operator + 8 * np.spacing(rep.max_operator)
     sat = md_operator(mixture_correlators(saturating_mixture(0.3)), 0.3)
     ok = ok and abs(sat - local_bound(0.3)) <= 1e-12
-    report(3, "1e5 sampled strategy mixtures never exceed 4p(1-p); fixture saturates", ok)
+    report(3, "1e5 random strategy mixtures and the exact vertex maximum stay within 4p(1-p); "
+              "fixture saturates", ok)
 
 
 def test_criterion_4_quantum_violation():

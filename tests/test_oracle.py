@@ -14,7 +14,6 @@ from mdsteer.inequality import local_bound, md_operator, operator_value
 from mdsteer.kernel import ValidationError
 from mdsteer.oracle import (
     _CHI_SIGNS,
-    EVAL_BLOCK,
     XI_GRID_POINTS,
     ExtremalStrategy,
     StrategyMixture,
@@ -23,7 +22,10 @@ from mdsteer.oracle import (
     bound_sweep,
     extremal_correlators,
     mixture_correlators,
+    vertex_maximum,
 )
+
+XI_GRID = np.linspace(-math.pi, math.pi, XI_GRID_POINTS, endpoint=False)
 
 
 def sign_gather_correlators(chi, xi, p, beta=math.pi / 4):
@@ -44,46 +46,9 @@ def sign_gather_correlators(chi, xi, p, beta=math.pi / 4):
 
 def grid_maximum(p):
     """Largest operator value over the 4 x XI_GRID_POINTS pure grid strategies."""
-    xi = np.tile(np.linspace(-math.pi, math.pi, XI_GRID_POINTS, endpoint=False), 4)
+    xi = np.tile(XI_GRID, 4)
     chi = np.repeat(np.arange(1, 5), XI_GRID_POINTS)
     return float(np.max(operator_value(*sign_gather_correlators(chi, xi, p), p)))
-
-
-def chunked_sweep_maxima(p, samples, seed, chunk, components=4):
-    """(mixture maximum, overall maximum) of the sweep drawn and evaluated a whole chunk at a time."""
-    rng = np.random.default_rng(seed)
-    xi_grid = np.linspace(-math.pi, math.pi, XI_GRID_POINTS, endpoint=False)
-    max_mixture = -math.inf
-    for start in range(0, samples, chunk):
-        n = min(chunk, samples - start)
-        chi = rng.integers(1, 5, size=(n, components))
-        use_grid = rng.uniform(size=(n, components)) < 0.5
-        xi = np.where(
-            use_grid,
-            xi_grid[rng.integers(0, XI_GRID_POINTS, size=(n, components))],
-            rng.uniform(-math.pi, math.pi, size=(n, components)),
-        )
-        weights = rng.dirichlet(np.ones(components), size=n)
-        mixed = np.einsum("sc,esc->es", weights, sign_gather_correlators(chi, xi, p))
-        max_mixture = max(max_mixture, float(np.max(operator_value(*mixed, p))))
-    return max_mixture, max(max_mixture, grid_maximum(p))
-
-
-def recorded_sweep(monkeypatch, p, samples, seed):
-    """bound_sweep's report and its mixtures' maximum: every operator_value call but the last."""
-    import mdsteer.oracle as oracle
-
-    seen = []
-    real = oracle.operator_value
-
-    def recording(*args):
-        values = real(*args)
-        seen.append(float(np.max(values)))
-        return values
-
-    monkeypatch.setattr(oracle, "operator_value", recording)
-    report = bound_sweep(p, samples, seed)
-    return report, max(seen[:-1])
 
 
 class TestExtremalStrategy:
@@ -246,18 +211,22 @@ class TestBoundSweep:
         with pytest.raises(ValidationError, match="seed must be an integer >= 0, got False"):
             bound_sweep(0.3, 10, seed=False)
 
-    @pytest.mark.parametrize("samples", [1, 777, EVAL_BLOCK])
-    def test_single_block_matches_one_shot_stream(self, samples, monkeypatch):
-        report, max_mixture = recorded_sweep(monkeypatch, 0.3, samples, 17)
-        # One chunk of every sample: the sweep as first written.
-        assert (max_mixture, report.max_operator) == chunked_sweep_maxima(0.3, samples, 17, samples)
-
-    @pytest.mark.parametrize("samples", [EVAL_BLOCK - 1, EVAL_BLOCK + 1, 65537, 196615])
-    @pytest.mark.parametrize("p, seed", [(0.05, 0), (0.3, 17), (0.35, 8), (0.5, 3), (0.3, 6)])
-    def test_blocks_match_whole_chunks(self, samples, p, seed):
-        # The stream once drew 65536-sample chunks whole; the printed maximum keeps its bits.
-        report = bound_sweep(p, samples, seed)
-        assert report.max_operator == chunked_sweep_maxima(p, samples, seed, 1 << 16)[1]
+    @pytest.mark.parametrize("samples", [4095, 4097, 65537, 196615])
+    @pytest.mark.parametrize(
+        "p, seed, printed",
+        [
+            (0.05, 0, 0.19000000000000009),
+            (0.3, 17, 0.8400000000000001),
+            (0.35, 8, 0.9100000000000004),
+            (0.5, 3, 1.0),
+            (0.3, 6, 0.8400000000000001),
+        ],
+        ids=["0.05-0", "0.3-17", "0.35-8", "0.5-3", "0.3-6"],
+    )
+    def test_blocks_match_whole_chunks(self, samples, p, seed, printed):
+        # The maxima the sampled sweep printed when it drew 65536-sample chunks whole
+        # (and later 4096-sample blocks); the exact vertex maximum keeps their bits.
+        assert bound_sweep(p, samples, seed).max_operator == printed
 
     @pytest.mark.parametrize(
         "p, samples, seed, printed",
@@ -268,6 +237,8 @@ class TestBoundSweep:
             (0.3, 100000, 42, '"maxI": 0.8400000000000001, "bound": 0.84'),
             (0.3264, 500000, 1, '"maxI": 0.8794521600000003, "bound": 0.87945216'),
             (0.5, 1000, 42, '"maxI": 1.0, "bound": 1.0'),
+            # The sampled sweep printed a mixture's 4.0000000000000016e-100 here.
+            (1e-100, 3000, 10, '"maxI": 4.0000000000000006e-100, "bound": 4e-100'),
         ],
     )
     def test_printed_record_pinned(self, p, samples, seed, printed):
@@ -275,17 +246,9 @@ class TestBoundSweep:
         assert bound_sweep(p, samples, seed).to_json() == record
 
     @settings(max_examples=25, deadline=None)
-    @given(st.floats(1e-150, 0.5), st.integers(1, 3 * EVAL_BLOCK + 1), st.integers(0, 2**32 - 1))
+    @given(st.floats(1e-150, 0.5), st.integers(1, 2**40), st.integers(0, 2**32 - 1))
     def test_printed_maximum_is_the_grids(self, p, samples, seed):
-        # Every grid singleton sits on the bound; a mixture reaches it only if its chi in
-        # {1, 2} parts coincide and so do its chi in {3, 4} ones, and rounding then puts
-        # it at most 4 ulps (measured) above the grid's. No stream moves the maximum more.
-        grid = grid_maximum(p)
-        assert grid <= bound_sweep(p, samples, seed).max_operator <= grid + 8 * np.spacing(grid)
-
-    @pytest.mark.xfail(strict=True, reason="operator_value's squares underflow below p ~ 1e-154")
-    def test_tiny_bias_reaches_bound(self):
-        assert math.isclose(grid_maximum(1e-200), local_bound(1e-200), rel_tol=1e-12)
+        assert bound_sweep(p, samples, seed).max_operator == vertex_maximum(p)[0]
 
     def test_several_blocks_deterministic_and_sound(self):
         a = bound_sweep(0.35, 2 * 65536 + 5, seed=8)
@@ -295,9 +258,8 @@ class TestBoundSweep:
         assert a.max_operator == 0.9100000000000004
 
     @pytest.mark.parametrize("samples", [20_000, 500_000])
-    def test_peak_memory_set_by_block(self, samples):
-        # One block's draws, about 1.4 MB, whatever the number of samples; drawing
-        # 65536-sample chunks whole peaked at 3.0 MB for 20 000 samples and 6.5 MB for 500 000.
+    def test_peak_memory_independent_of_samples(self, samples):
+        # The 2880 vertices' arrays alone, 0.42 MB, whatever the number of samples.
         tracemalloc.start()
         try:
             bound_sweep(0.3264, samples, seed=1)
@@ -318,6 +280,56 @@ class TestBoundSweep:
                              passed=False, seed=0)
         with pytest.raises(ValueError):
             report.to_json()
+
+
+class TestVertexMaximum:
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-150, 0.5))
+    def test_equals_sign_gather_grid(self, p):
+        assert vertex_maximum(p)[0] == grid_maximum(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-150, 0.5))
+    def test_witness_attains_value(self, p):
+        value, witness = vertex_maximum(p)
+        assert (witness.p, witness.beta) == (p, math.pi / 4)
+        assert witness.xi in XI_GRID
+        # Evaluated as the grid is, the witness gives the value bit for bit.
+        one = _component_correlators(np.array([witness.chi]), np.array([witness.xi]), p)
+        assert operator_value(*one, p)[0] == value
+        # On scalars each ** 0.5 is libm's pow, not the grid's sqrt: up to 2 ulps apart (measured).
+        assert abs(md_operator(extremal_correlators(witness), p) - value) <= 2 * np.spacing(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(1e-150, 0.5),
+        st.lists(
+            st.tuples(
+                st.integers(1, 4),
+                st.one_of(st.sampled_from(XI_GRID.tolist()), st.floats(-math.pi, math.pi)),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_mixtures_never_exceed(self, p, vertices, seed):
+        # I is convex in the correlators, so no mixture beats its best vertex but by rounding.
+        value = vertex_maximum(p)[0]
+        weights = np.random.default_rng(seed).dirichlet(np.ones(len(vertices)))
+        mixture = StrategyMixture(
+            [(ExtremalStrategy(chi, xi, p), float(w)) for (chi, xi), w in zip(vertices, weights)]
+        )
+        assert md_operator(mixture_correlators(mixture), p) <= value + 8 * np.spacing(value)
+
+    @pytest.mark.xfail(strict=True, reason="operator_value's squares underflow below p ~ 1e-154")
+    def test_tiny_bias_reaches_bound(self):
+        assert math.isclose(vertex_maximum(1e-200)[0], local_bound(1e-200), rel_tol=1e-12)
+
+    def test_bias_validated(self):
+        for p in (0.0, 0.6, math.nan):
+            with pytest.raises(ValidationError, match="p must be in"):
+                vertex_maximum(p)
 
 
 class TestGeneralBetaOperator:
