@@ -28,8 +28,7 @@ _EXPORTS = {
         "kernel",
     ),
     **dict.fromkeys(
-        ("ExtremalStrategy", "StrategyMixture", "bound_sweep", "extremal_correlators",
-         "mixture_correlators"),
+        ("ExtremalStrategy", "bound_sweep", "extremal_correlators"),
         "oracle",
     ),
     **dict.fromkeys(
@@ -37,7 +36,7 @@ _EXPORTS = {
         "optimize",
     ),
     **dict.fromkeys(
-        ("Assemblage", "MdLhsModel", "WeightParams", "assemblage_from_mdlhs",
+        ("Assemblage", "MdLhsModel", "assemblage_from_mdlhs",
          "assemblage_from_state", "behavior_from_assemblage", "md_weight",
          "mdlhv_decomposition_check", "mix_assemblages", "weight_bound", "weight_limit_values"),
         "steering",

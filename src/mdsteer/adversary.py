@@ -5,6 +5,10 @@ lambda2 (probability cos^2 delta); the probability of picking setting 1 is
 cos^2 theta under lambda1 and cos^2 phi under lambda2. Suitable parameter
 choices make the observed marginal p(x) = 0.5 while the conditionals remain
 strongly biased, so the parties cannot detect the bias from marginals alone.
+
+constraint_report gives the marginal, the table p(x|lambda) and max_l, the
+largest l with l <= p(x|lambda) <= 1 - l: the model obeys a bias bound l
+exactly when max_l >= l.
 """
 
 from __future__ import annotations
@@ -15,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import (
-    BIAS,
-    TOL,
-    ValidationError,
-    require_distribution,
-    require_finite,
-    require_interval,
-)
+from .kernel import TOL, require_finite
 
 
 @dataclass(frozen=True)
@@ -36,37 +33,10 @@ class BiasModel:
 
 
 @dataclass(frozen=True)
-class SettingReport:
+class ConstraintReport:
     p_x1: float
     p_lambda: np.ndarray  # (p(lambda1), p(lambda2))
     p_x_given_lambda: np.ndarray  # [lambda][x]
-
-
-def marginal_setting_prob(m: BiasModel) -> SettingReport:
-    """Observed marginal p(x1) = sum_lambda p(x1|lambda) p(lambda)."""
-    p_lambda = np.array([math.sin(m.delta) ** 2, math.cos(m.delta) ** 2])
-    c1, c2 = math.cos(m.theta) ** 2, math.cos(m.phi) ** 2
-    p_x_given_lambda = np.array([[c1, 1.0 - c1], [c2, 1.0 - c2]])
-    # numpy's dot, not c1 * s + c2 * c: the two round differently.
-    p_x1 = float(p_lambda @ np.array([c1, c2]))
-    return SettingReport(p_x1=p_x1, p_lambda=p_lambda, p_x_given_lambda=p_x_given_lambda)
-
-
-def md_bound_check(p_x_given_lambda: np.ndarray, l: float) -> bool:
-    """True iff every conditional setting probability lies in [l, 1 - l]."""
-    require_interval("l", l, BIAS)
-    p = np.asarray(p_x_given_lambda, dtype=float)
-    if p.shape != (2, 2):
-        raise ValidationError(f"p(x|lambda) must have shape (2, 2), got {p.shape}")
-    require_distribution("p(x|lambda) rows", p, axis=1)
-    return bool(np.all(p >= l) and np.all(p <= 1.0 - l))
-
-
-@dataclass(frozen=True)
-class ConstraintReport:
-    p_x1: float
-    p_lambda: np.ndarray
-    p_x_given_lambda: np.ndarray
     max_l: float
     measurement_independent: bool
 
@@ -84,17 +54,21 @@ class ConstraintReport:
 
 
 def constraint_report(model: BiasModel) -> ConstraintReport:
-    """Measurement-independence verdict and the tightest bias bound the model obeys.
+    """Observed marginal, measurement-independence verdict and the tightest bias bound obeyed.
 
-    max_l is the largest l with l <= p(x|lambda) <= 1 - l for all entries;
-    rows sum to 1, so this is simply the smallest entry of the table.
+    p_x1 = sum_lambda p(x1|lambda) p(lambda). max_l is the largest l with
+    l <= p(x|lambda) <= 1 - l for all entries; rows sum to 1, so this is simply
+    the smallest entry of the table.
     """
-    setting = marginal_setting_prob(model)
-    (p11, p12), (p21, p22) = setting.p_x_given_lambda.tolist()
+    p_lambda = np.array([math.sin(model.delta) ** 2, math.cos(model.delta) ** 2])
+    c1, c2 = math.cos(model.theta) ** 2, math.cos(model.phi) ** 2
+    rows = [[c1, 1.0 - c1], [c2, 1.0 - c2]]
+    (p11, p12), (p21, p22) = rows
     return ConstraintReport(
-        p_x1=setting.p_x1,
-        p_lambda=setting.p_lambda,
-        p_x_given_lambda=setting.p_x_given_lambda,
+        # numpy's dot, not c1 * s + c2 * c: the two round differently.
+        p_x1=float(p_lambda @ np.array([c1, c2])),
+        p_lambda=p_lambda,
+        p_x_given_lambda=np.array(rows),
         max_l=min(p11, p12, p21, p22),
         measurement_independent=max(abs(p11 - p21), abs(p12 - p22)) <= TOL.check,
     )

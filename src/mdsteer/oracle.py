@@ -9,11 +9,12 @@ probabilities for the two measurements trace an ellipse:
 with beta the measurement-overlap angle (pi/4 by default). Alice picks x1
 with probability 1 - p and x2 with probability p, so the reweighted
 correlators reach magnitude 2 and are handled as abstract vectors rather
-than embedded in normalized behaviors. The operator is convex in the
-correlators and a mixture's correlators are the weighted sum of its
-components', so no mixture exceeds its best extremal strategy. The oracle
-therefore evaluates the 4 x XI_GRID_POINTS grid vertices once and reports
-their exact maximum with a vertex that attains it; it draws no random number.
+than embedded in normalized behaviors. A mixture of strategies has no type
+of its own: its correlators are the weighted sum of its strategies'
+extremal_correlators. The operator is convex in the correlators, so no
+mixture exceeds its best extremal strategy. The oracle therefore evaluates
+the 4 x XI_GRID_POINTS grid vertices once and reports their exact maximum
+with a vertex that attains it; it draws no random number.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .kernel import (
     UNIT,
     ValidationError,
     require_count,
-    require_distribution,
     require_finite,
     require_interval,
 )
@@ -63,24 +63,9 @@ class ExtremalStrategy:
         require_interval("beta", self.beta, OPEN_RIGHT_ANGLE)
 
 
-@dataclass(frozen=True)
-class StrategyMixture:
-    weights: List[Tuple[ExtremalStrategy, float]]
-
-    def __post_init__(self) -> None:
-        require_distribution("mixture weights", [w for _, w in self.weights])
-
-
 def extremal_correlators(s: ExtremalStrategy) -> CorrelatorVector:
     """Reweighted correlator vector of a single extremal strategy."""
     return CorrelatorVector(*_component_correlators(s.chi, s.xi, s.p, s.beta))
-
-
-def mixture_correlators(m: StrategyMixture) -> CorrelatorVector:
-    total = np.zeros(4)
-    for s, w in m.weights:
-        total += w * extremal_correlators(s).as_array()
-    return CorrelatorVector(*total)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 An assemblage maps Alice's outcome/setting pair (a, x) to the unnormalized
 post-measurement state of Bob. An MD-LHS model explains an assemblage via a
 hidden variable whose distribution may depend on Alice's setting. This module
-also provides the measurement-dependent weight, its limiting values, and the
-steerability bound on that weight.
+also provides the measurement-dependent weight md_weight(eta) = 1 - r, a ratio
+of mixing weights that no hidden-variable distribution enters, its limiting
+values, and the steerability bound on that weight.
 """
 
 from __future__ import annotations
@@ -160,31 +161,6 @@ class MdLhsModel:
         return cls(plx, pax, pairs.view(complex).reshape(n, 2, 2, 2))
 
 
-@dataclass(frozen=True)
-class WeightParams:
-    """Inputs to the measurement-dependent weight.
-
-    eta maps (a, x) to the mixing weight of the MD-unsteerable component,
-    kept as a copy of its four floats; the two distributions are
-    p(lambda|x1) and p(lambda|x2), kept as read-only 1-D float copies.
-    """
-
-    eta: Dict[AssemblageKey, float]
-    p_lambda_x1: np.ndarray
-    p_lambda_x2: np.ndarray
-
-    def __post_init__(self) -> None:
-        _require_eta(self.eta, OPEN_UNIT)
-        object.__setattr__(self, "eta", {key: float(self.eta[key]) for key in _KEYS})
-        for name in ("p_lambda_x1", "p_lambda_x2"):
-            probs = require_distribution(name, frozen_copy(getattr(self, name), float))
-            if probs.ndim != 1:
-                raise ValidationError(f"{name} must be 1-D, got shape {probs.shape}")
-            object.__setattr__(self, name, probs)
-        if len(self.p_lambda_x1) != len(self.p_lambda_x2):
-            raise ValidationError("the two hidden-variable distributions must share an alphabet")
-
-
 def _require_eta(eta: Dict[AssemblageKey, float], domain: Interval) -> None:
     """Every eta^{a|x} in domain, in (x, a) order; a missing one reads as NaN, which fails."""
     for a, x in _KEYS:
@@ -253,14 +229,18 @@ def mix_assemblages(
     return Assemblage(_keyed((1.0 - w) * steerable._sigma + w * mdlhs._sigma))
 
 
-def md_weight(params: WeightParams) -> float:
-    """Signed weight sum_lambda (p(lambda|x1) - ratio * p(lambda|x2)).
+def md_weight(eta: Dict[AssemblageKey, float]) -> float:
+    """Signed measurement-dependent weight 1 - r, with r = eta^{-|x2} / eta^{-|x1}.
 
-    The ratio is eta^{-|x2} / eta^{-|x1}. With identical distributions this
-    reduces to 1 - ratio. The value may be negative; no clamping is applied.
+    The paper's weight is sum_lambda (p(lambda|x1) - r p(lambda|x2)). Both
+    distributions sum to 1, so the sum telescopes to 1 - r whatever they are,
+    and they are not inputs. The paper may have lost a term here that keeps
+    the hidden variable in the weight; an exact LP for the critical bias of a
+    mixed assemblage would decide. The value may be negative; no clamping is
+    applied.
     """
-    ratio = params.eta[(-1, 2)] / params.eta[(-1, 1)]
-    return float(np.sum(params.p_lambda_x1 - ratio * params.p_lambda_x2))
+    _require_eta(eta, OPEN_UNIT)
+    return 1.0 - eta[(-1, 2)] / eta[(-1, 1)]
 
 
 def weight_limit_values(l: float, p_x1: float, eta_ratio: float) -> Tuple[float, float]:

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 
+from mdsteer.behaviors import CorrelatorVector
 from mdsteer.kernel import ValidationError
-from mdsteer.oracle import ExtremalStrategy, StrategyMixture
+from mdsteer.oracle import ExtremalStrategy, extremal_correlators
 from mdsteer.steering import MdLhsModel
 
 
@@ -33,8 +34,13 @@ def nested_json(key: str, depth: int = 5000) -> str:
     return f'{{"{key}": ' + "[" * depth + "]" * depth + "}"
 
 
-def saturating_mixture(p: float) -> StrategyMixture:
-    """Equal mixture of chi=1 and chi=3 at xi = -pi/4 attaining 4 p (1 - p)."""
+def mixed_correlators(parts) -> CorrelatorVector:
+    """Correlators of a mixture: the weighted sum of its (strategy, weight) parts' correlators."""
+    return CorrelatorVector(*sum(w * extremal_correlators(s).as_array() for s, w in parts))
+
+
+def saturating_mixture(p: float) -> CorrelatorVector:
+    """Correlators of the equal mixture of chi=1 and chi=3 at xi = -pi/4, attaining 4 p (1 - p)."""
     s1 = ExtremalStrategy(1, -math.pi / 4, p)
     s3 = ExtremalStrategy(3, -math.pi / 4, p)
-    return StrategyMixture([(s1, 0.5), (s3, 0.5)])
+    return mixed_correlators([(s1, 0.5), (s3, 0.5)])

@@ -9,7 +9,7 @@ import numpy as np
 
 from conftest import random_mdlhs_model, saturating_mixture
 
-from mdsteer.adversary import BiasModel, marginal_setting_prob
+from mdsteer.adversary import BiasModel, constraint_report
 from mdsteer.behaviors import CorrelatorVector, chsh_value, correlators, tilted_behavior
 from mdsteer.inequality import (
     local_bound,
@@ -21,7 +21,7 @@ from mdsteer.inequality import (
 )
 from mdsteer.kernel import Direction
 from mdsteer.optimize import SearchConfig, quantum_max
-from mdsteer.oracle import XI_GRID_POINTS, _component_correlators, bound_sweep, mixture_correlators
+from mdsteer.oracle import XI_GRID_POINTS, _component_correlators, bound_sweep
 from mdsteer.steering import (
     OUTCOMES,
     SETTINGS,
@@ -79,7 +79,7 @@ def test_criterion_3_oracle_soundness():
         ok = ok and max_mixed <= rep.bound + 1e-9
         # Convexity: no mixture beats the vertex maximum but by rounding.
         ok = ok and max_mixed <= rep.max_operator + 8 * np.spacing(rep.max_operator)
-    sat = md_operator(mixture_correlators(saturating_mixture(0.3)), 0.3)
+    sat = md_operator(saturating_mixture(0.3), 0.3)
     ok = ok and abs(sat - local_bound(0.3)) <= 1e-12
     report(3, "1e5 random strategy mixtures and the exact vertex maximum stay within 4p(1-p); "
               "fixture saturates", ok)
@@ -128,8 +128,8 @@ def test_criterion_7_weight_consistency():
 
 
 def test_criterion_8_adversary_examples():
-    a = marginal_setting_prob(BiasModel(0.3, 2.051, 2.447)).p_x1
-    b = marginal_setting_prob(BiasModel(0.7, 2.179, 0.96)).p_x1
+    a = constraint_report(BiasModel(0.3, 2.051, 2.447)).p_x1
+    b = constraint_report(BiasModel(0.7, 2.179, 0.96)).p_x1
     ok = abs(a - 0.5) <= 0.01 and abs(b - 0.5) <= 0.01
     report(8, "both bias-model parameter sets masquerade as p(x)=0.5", ok)
 

@@ -2,14 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mdsteer.adversary import (
-    BiasModel,
-    ConstraintReport,
-    constraint_report,
-    marginal_setting_prob,
-    md_bound_check,
-)
+from mdsteer.adversary import BiasModel, ConstraintReport, constraint_report
 from mdsteer.kernel import ValidationError
 
 EXAMPLE_A = BiasModel(theta=0.3, phi=2.051, delta=2.447)
@@ -19,41 +15,37 @@ EXAMPLE_B = BiasModel(theta=0.7, phi=2.179, delta=0.96)
 class TestMarginalSettingProb:
     @pytest.mark.parametrize("model", [EXAMPLE_A, EXAMPLE_B])
     def test_masquerades_as_fair_coin(self, model):
-        assert marginal_setting_prob(model).p_x1 == pytest.approx(0.5, abs=0.01)
+        assert constraint_report(model).p_x1 == pytest.approx(0.5, abs=0.01)
 
     def test_identical_conditionals_collapse(self):
         for delta in (0.1, 0.9, 2.2):
             m = BiasModel(theta=0.6, phi=0.6, delta=delta)
-            assert marginal_setting_prob(m).p_x1 == pytest.approx(
-                math.cos(0.6) ** 2, abs=1e-12
-            )
+            assert constraint_report(m).p_x1 == pytest.approx(math.cos(0.6) ** 2, abs=1e-12)
 
     def test_rows_normalized_exactly(self):
-        report = marginal_setting_prob(EXAMPLE_A)
+        report = constraint_report(EXAMPLE_A)
         np.testing.assert_allclose(report.p_x_given_lambda.sum(axis=1), 1.0, atol=1e-15)
         assert 0.0 <= report.p_x1 <= 1.0
 
 
 class TestMdBoundCheck:
-    def test_full_independence(self):
-        assert md_bound_check(np.full((2, 2), 0.5), 0.5)
-
-    def test_biased_entries_fail(self):
-        table = np.array([[0.9, 0.1], [0.9, 0.1]])
-        assert not md_bound_check(table, 0.2)
+    """The bias-bound verdict: a model obeys l <= p(x|lambda) <= 1 - l exactly when max_l >= l."""
 
     def test_example_a_threshold(self):
-        table = marginal_setting_prob(EXAMPLE_A).p_x_given_lambda
-        assert not md_bound_check(table, 0.09)
-        assert md_bound_check(table, 0.087)
+        assert 0.087 <= constraint_report(EXAMPLE_A).max_l < 0.09
 
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValidationError):
-            md_bound_check(np.full((2, 2), 0.4), 0.1)
-
-    def test_l_out_of_range(self):
-        with pytest.raises(ValidationError):
-            md_bound_check(np.full((2, 2), 0.5), 0.6)
+    @given(
+        angles=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+        l=st.floats(0.0, 0.5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_max_l_is_the_table_verdict(self, angles, l):
+        report = constraint_report(BiasModel(*angles))
+        table = report.p_x_given_lambda
+        # The drawn l, and max_l itself with the next float above it: the verdict's edge.
+        for bound in (l, report.max_l, np.nextafter(report.max_l, 1.0)):
+            inside = bool(np.all(table >= bound) and np.all(table <= 1.0 - bound))
+            assert (report.max_l >= bound) == inside
 
 
 class TestBiasModel:

@@ -288,9 +288,17 @@ class TestAdversary:
     def test_example_a(self, capsys):
         code = main(["adversary", "--theta", "0.3", "--phi", "2.051", "--delta", "2.447"])
         assert code == 0
-        record = json.loads(capsys.readouterr().out)
+        printed = capsys.readouterr().out
+        record = json.loads(printed)
         assert record["pX1"] == pytest.approx(0.5, abs=0.01)
         assert record["independent"] is False
+        # The record to the bit, as CI pins it.
+        assert printed == (
+            '{"pX1": 0.4998890700003336, "pLambda": [0.409692834048759, 0.590307165951241], '
+            '"pXGivenLambda": [[0.9126678074548391, 0.08733219254516089], '
+            '[0.21340687812266704, 0.786593121877333]], "maxL": 0.08733219254516089, '
+            '"independent": false}\n'
+        )
 
     def test_example_b(self, capsys):
         main(["adversary", "--theta", "0.7", "--phi", "2.179", "--delta", "0.96"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import saturating_mixture
+from conftest import mixed_correlators, saturating_mixture
 
 from mdsteer.behaviors import CorrelatorVector
 from mdsteer.inequality import local_bound, md_operator, operator_value
@@ -16,12 +16,10 @@ from mdsteer.oracle import (
     _CHI_SIGNS,
     XI_GRID_POINTS,
     ExtremalStrategy,
-    StrategyMixture,
     SweepReport,
     _component_correlators,
     bound_sweep,
     extremal_correlators,
-    mixture_correlators,
     vertex_maximum,
 )
 
@@ -135,25 +133,19 @@ class TestComponentCorrelators:
 
 
 class TestMixtureCorrelators:
+    """A mixture's correlators: the weighted sum of its strategies' correlator vectors."""
+
     def test_singleton(self):
         s = ExtremalStrategy(2, 0.7, 0.2)
-        m = StrategyMixture([(s, 1.0)])
         np.testing.assert_array_equal(
-            mixture_correlators(m).as_array(), extremal_correlators(s).as_array()
+            mixed_correlators([(s, 1.0)]).as_array(), extremal_correlators(s).as_array()
         )
 
     def test_opposite_types_cancel(self):
         s1 = ExtremalStrategy(1, 0.3, 0.4)
         s2 = ExtremalStrategy(2, 0.3, 0.4)
-        m = StrategyMixture([(s1, 0.5), (s2, 0.5)])
-        np.testing.assert_allclose(mixture_correlators(m).as_array(), 0.0, atol=1e-15)
-
-    def test_weights_validated(self):
-        s = ExtremalStrategy(1, 0.0, 0.3)
-        with pytest.raises(ValidationError):
-            StrategyMixture([(s, 0.7)])
-        with pytest.raises(ValidationError):
-            StrategyMixture([(s, -0.5), (s, 1.5)])
+        c = mixed_correlators([(s1, 0.5), (s2, 0.5)])
+        np.testing.assert_allclose(c.as_array(), 0.0, atol=1e-15)
 
     def test_random_mixtures_respect_bound(self):
         rng = np.random.default_rng(123)
@@ -168,8 +160,24 @@ class TestMixtureCorrelators:
                 )
                 for w in weights
             ]
-            c = mixture_correlators(StrategyMixture(parts))
-            assert md_operator(c, p) <= local_bound(p) + 1e-9
+            assert md_operator(mixed_correlators(parts), p) <= local_bound(p) + 1e-9
+
+
+class TestFairMarginalBiases:
+    """Strategies whose bias t = p(x1|lambda) varies within [p, 1 - p] under a fair marginal."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: opposite biases t = p and 1 - p reach 2(1 - p) > 4p(1 - p)",
+    )
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.45])
+    def test_opposite_biases_respect_bound(self, p):
+        # ExtremalStrategy's p is p(x2), so the two biases are t = 1 - p and t = p.
+        c = mixed_correlators(
+            [(ExtremalStrategy(1, -math.pi / 4, p), 0.5),
+             (ExtremalStrategy(1, -math.pi / 4, 1.0 - p), 0.5)]
+        )
+        assert md_operator(c, p) <= local_bound(p) + 1e-9
 
 
 class TestBoundSweep:
@@ -180,8 +188,7 @@ class TestBoundSweep:
         assert report.max_operator >= 1.0 - 1e-3
 
     def test_saturating_fixture(self):
-        c = mixture_correlators(saturating_mixture(0.3))
-        assert md_operator(c, 0.3) == pytest.approx(0.84, abs=1e-12)
+        assert md_operator(saturating_mixture(0.3), 0.3) == pytest.approx(0.84, abs=1e-12)
 
     def test_bound_vanishes_with_p(self):
         report = bound_sweep(1e-6, 1_000, seed=3)
@@ -317,10 +324,10 @@ class TestVertexMaximum:
         # I is convex in the correlators, so no mixture beats its best vertex but by rounding.
         value = vertex_maximum(p)[0]
         weights = np.random.default_rng(seed).dirichlet(np.ones(len(vertices)))
-        mixture = StrategyMixture(
+        mixture = mixed_correlators(
             [(ExtremalStrategy(chi, xi, p), float(w)) for (chi, xi), w in zip(vertices, weights)]
         )
-        assert md_operator(mixture_correlators(mixture), p) <= value + 8 * np.spacing(value)
+        assert md_operator(mixture, p) <= value + 8 * np.spacing(value)
 
     @pytest.mark.xfail(strict=True, reason="operator_value's squares underflow below p ~ 1e-154")
     def test_tiny_bias_reaches_bound(self):
@@ -373,8 +380,7 @@ class TestGeneralBetaOperator:
                 )
                 for w in weights
             ]
-            c = mixture_correlators(StrategyMixture(parts))
-            assert md_operator(c, p, beta) <= bound + 1e-9
+            assert md_operator(mixed_correlators(parts), p, beta) <= bound + 1e-9
 
 
 class TestEllipseIdentity:

@@ -8,7 +8,6 @@ import pytest
 
 from conftest import nested_json
 
-from mdsteer.adversary import md_bound_check
 from mdsteer.behaviors import Behavior, CorrelatorVector, pr_box
 from mdsteer.inequality import md_operator
 from mdsteer.kernel import (
@@ -21,8 +20,8 @@ from mdsteer.kernel import (
     require_interval,
     require_numbers,
 )
-from mdsteer.oracle import ExtremalStrategy, StrategyMixture
-from mdsteer.steering import MdLhsModel, WeightParams, weight_limit_values
+from mdsteer.oracle import ExtremalStrategy
+from mdsteer.steering import MdLhsModel, md_weight, weight_limit_values
 
 NAN, INF = math.nan, math.inf
 C = CorrelatorVector(0.1, 0.2, 0.3, 0.4)
@@ -86,7 +85,6 @@ NON_FINITE = {
     "ExtremalStrategy p": lambda: ExtremalStrategy(1, 0.0, NAN),
     "ExtremalStrategy xi nan": lambda: ExtremalStrategy(1, NAN),
     "ExtremalStrategy xi inf": lambda: ExtremalStrategy(1, INF),
-    "StrategyMixture weight": lambda: StrategyMixture([(ExtremalStrategy(1, 0.0), NAN)]),
     "md_operator beta": lambda: md_operator(C, 0.3, NAN),
     "MdLhsModel p_lambda_given_x": lambda: MdLhsModel(
         np.array([[NAN, 0.5], [0.5, 0.5]]), np.full((2, 2, 2), 0.5), MIXED
@@ -94,9 +92,8 @@ NON_FINITE = {
     "MdLhsModel p_a_given_x_lambda": lambda: MdLhsModel(
         np.full((2, 2), 0.5), np.array([[[0.5, 0.5]] * 2, [[0.5, 0.5], [NAN, 0.5]]]), MIXED
     ),
-    "WeightParams": lambda: WeightParams(ETA, np.array([NAN, NAN]), np.array([0.5, 0.5])),
+    "md_weight": lambda: md_weight({**ETA, (-1, 2): NAN}),
     "weight_limit_values eta_ratio": lambda: weight_limit_values(0.3, 0.5, NAN),
-    "md_bound_check": lambda: md_bound_check(np.full((2, 2), NAN), 0.1),
 }
 
 
