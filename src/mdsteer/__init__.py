@@ -13,18 +13,18 @@ __version__ = "0.1.0"
 # Public name -> the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys(
-        ("Behavior", "CorrelatorVector", "behavior_from_quantum", "chsh_value", "correlators",
+        ("Behavior", "CorrelatorVector", "behavior_from_quantum", "correlators",
          "no_signalling_check", "pr_box", "randomness_behavior", "tilted_behavior"),
         "behaviors",
     ),
     **dict.fromkeys(
         ("binary_entropy", "local_bound", "md_operator", "pr_closed_form", "randomness_rate",
-         "tilted_bell_value", "tilted_closed_form", "violation"),
+         "tilted_closed_form", "violation"),
         "inequality",
     ),
     **dict.fromkeys(
         ("Direction", "Tolerances", "TwoQubitState", "ValidationError", "bell_phi_plus",
-         "expectation", "pauli_observable", "pure_state", "tensor"),
+         "pure_state"),
         "kernel",
     ),
     **dict.fromkeys(

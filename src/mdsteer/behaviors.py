@@ -162,8 +162,3 @@ def no_signalling_check(b: Behavior, tol: float = TOL.check) -> NoSignallingRepo
     dev = float(np.abs(diffs).max())
     return NoSignallingReport(max_deviation=dev, passed=dev <= tol)
 
-
-def chsh_value(b: Behavior) -> float:
-    """CHSH combination <x1y1> + <x1y2> + <x2y1> - <x2y2>."""
-    c = correlators(b)
-    return c.e11 + c.e12 + c.e21 - c.e22

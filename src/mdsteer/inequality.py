@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .behaviors import CorrelatorVector
-from .kernel import BELL_TILT, BIAS, GAMMA, OPEN_RIGHT_ANGLE, TILT, UNIT, require_interval
+from .kernel import BIAS, GAMMA, OPEN_RIGHT_ANGLE, TILT, UNIT, require_interval
 
 # Figure curves over p: optimize.curve computes them and the CLI offers them.
 CURVE_KINDS = ("local", "prbox", "quantum", "tilted", "randomness")
@@ -77,12 +77,6 @@ def tilted_closed_form(delta: float, p: float) -> float:
     term1 = math.sqrt(c2 * ((2.0 * (p - 1.0) * s + p) ** 2 + (p - 1.0) ** 2))
     term2 = math.sqrt(c2 * ((p - 2.0 * (p - 1.0) * s) ** 2 + (p - 1.0) ** 2))
     return term1 + term2
-
-
-def tilted_bell_value(c: CorrelatorVector, delta: float) -> float:
-    """Tilted Bell functional <x1y1> + (<x1y2> + <x2y1>)/sin(delta) - <x2y2>/cos(2 delta)."""
-    require_interval("delta", delta, BELL_TILT)
-    return c.e11 + (c.e12 + c.e21) / math.sin(delta) - c.e22 / math.cos(2.0 * delta)
 
 
 def binary_entropy(q: float) -> float:

@@ -82,7 +82,6 @@ SWEEP_BIAS: Interval = ("(0, 0.5]", 0.0, 0.5)  # p of the oracle's sweep
 RIGHT_ANGLE: Interval = ("[0, pi/2]", 0.0, math.pi / 2)  # state angle theta
 OPEN_RIGHT_ANGLE: Interval = ("(0, pi/2)", 0.0, math.pi / 2)  # beta of md_operator, strategy beta
 TILT: Interval = ("(0, pi/6]", 0.0, math.pi / 6)  # delta of the tilted behavior
-BELL_TILT: Interval = ("(0, pi/4)", 0.0, math.pi / 4)  # delta of the tilted Bell functional
 GAMMA: Interval = ("[0, pi/12]", 0.0, math.pi / 12)  # gamma of the randomness behavior
 STEPS: Interval = ("[1, 10000]", 1, 10000)  # points of a curve: --steps
 
@@ -193,17 +192,6 @@ class Direction:
     def planar(cls, angle: float) -> "Direction":
         """Direction in the x-z plane at ``angle`` measured from +z toward +x."""
         return cls(math.sin(angle), 0.0, math.cos(angle))
-
-    @classmethod
-    def spherical(cls, azimuth: float, polar: float) -> "Direction":
-        return cls(
-            math.sin(polar) * math.cos(azimuth),
-            math.sin(polar) * math.sin(azimuth),
-            math.cos(polar),
-        )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.nx, self.ny, self.nz])
 
 
 def _verdict(ok: np.ndarray) -> bool | np.ndarray:
@@ -328,9 +316,6 @@ class TwoQubitState:
         if float(np.linalg.eigvalsh(rho).min()) < -TOL.psd:
             raise ValidationError("density matrix is not positive semidefinite")
         object.__setattr__(self, "density", rho)
-
-    def purity(self) -> float:
-        return float(np.trace(self.density @ self.density).real)
 
 
 def pure_state(theta: float) -> TwoQubitState:

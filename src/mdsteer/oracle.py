@@ -96,20 +96,12 @@ def _component_correlators(
 ) -> np.ndarray:
     """Reweighted correlators (e11, e12, e21, e22) of extremal strategies; shape (4,) + chi.shape.
 
-    Entry (x, y) is sign_x(chi) * 2 p(x) * cos(xi +- beta), with p(x1) = 1 - p
-    and p(x2) = p. The cosines are written into the output and scaled in place
-    by the signed factors sign_x(chi) * 2 p(x); scaling by +-2 is exact, so every
-    entry equals sign * 2.0 * p(x) * cos(...) evaluated left to right, bit for bit.
+    chi and xi have one shape. Entry (x, y) is sign_x(chi) * 2 p(x) * cos(xi +- beta),
+    with p(x1) = 1 - p and p(x2) = p.
     """
     factors = np.take(_CHI_SIGNS * [[2.0 * (1.0 - p)], [2.0 * p]], np.asarray(chi) - 1, axis=1)
-    out = np.empty((4,) + np.broadcast_shapes(np.shape(chi), np.shape(xi)))
-    cosines, x2 = out[:2], out[2:]
-    np.add(xi, beta, out=out[0, ...])
-    np.subtract(xi, beta, out=out[1, ...])
-    np.cos(cosines, out=cosines)
-    np.multiply(cosines, factors[1], out=x2)
-    np.multiply(cosines, factors[0], out=cosines)
-    return out
+    cosines = np.cos([xi + beta, xi - beta])
+    return np.concatenate([cosines * factors[0], cosines * factors[1]])
 
 
 def vertex_maximum(p: float) -> Tuple[float, ExtremalStrategy]:

@@ -10,7 +10,6 @@ values, and the steerability bound on that weight.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
@@ -35,11 +34,8 @@ from .kernel import (  # noqa: F401
     partial_trace_alice,
     projector,
     projectors,
-    require_count,
     require_distribution,
     require_interval,
-    require_json_object,
-    require_numbers,
     tensor,
     unnormalized,
 )
@@ -132,33 +128,6 @@ class MdLhsModel:
     @property
     def n_lambdas(self) -> int:
         return self.p_lambda_given_x.shape[1]
-
-    def to_json(self) -> str:
-        # states[lam][x] as its four entries in row order, each a [re, im] pair.
-        pairs = self.states.view(float).reshape(self.n_lambdas, 2, 4, 2)
-        return json.dumps(
-            {
-                "lambdas": self.n_lambdas,
-                "pLambdaGivenX": self.p_lambda_given_x.tolist(),
-                "pAGivenXLambda": self.p_a_given_x_lambda.tolist(),
-                "states": pairs.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MdLhsModel":
-        data = require_json_object("MD-LHS model JSON", text)
-        try:
-            n = data["lambdas"]
-            require_count("lambdas", n)
-            plx = require_numbers("pLambdaGivenX", data["pLambdaGivenX"])
-            pax = require_numbers("pAGivenXLambda", data["pAGivenXLambda"])
-            pairs = require_numbers("states", data["states"])
-            if pairs.shape != (n, 2, 4, 2):
-                raise ValueError(f"states must have shape ({n}, 2, 4, 2), got {pairs.shape}")
-        except (KeyError, TypeError, ValueError) as exc:  # ValidationError is a ValueError
-            raise ValidationError(f"malformed MD-LHS model JSON: {exc}") from exc
-        return cls(plx, pax, pairs.view(complex).reshape(n, 2, 2, 2))
 
 
 def _require_eta(eta: Dict[AssemblageKey, float], domain: Interval) -> None:

@@ -4,10 +4,19 @@ import math
 
 import numpy as np
 
-from mdsteer.behaviors import CorrelatorVector
-from mdsteer.kernel import ValidationError
+from mdsteer.behaviors import Behavior, CorrelatorVector, correlators
+from mdsteer.kernel import Direction, ValidationError
 from mdsteer.oracle import ExtremalStrategy, extremal_correlators
 from mdsteer.steering import MdLhsModel
+
+
+def spherical(azimuth: float, polar: float) -> Direction:
+    """The unit vector at the given azimuth about +z and polar angle from +z."""
+    return Direction(
+        math.sin(polar) * math.cos(azimuth),
+        math.sin(polar) * math.sin(azimuth),
+        math.cos(polar),
+    )
 
 
 def random_mdlhs_model(seed: int, n_lambdas: int = 4) -> MdLhsModel:
@@ -27,6 +36,12 @@ def random_mdlhs_model(seed: int, n_lambdas: int = 4) -> MdLhsModel:
             mix = rng.uniform()
             states[lam, ix] = mix * np.outer(vec, vec.conj()) + (1 - mix) * np.eye(2) / 2
     return MdLhsModel(plx, pax, states)
+
+
+def chsh(b: Behavior) -> float:
+    """CHSH combination <x1y1> + <x1y2> + <x2y1> - <x2y2> of a behavior's correlators."""
+    c = correlators(b)
+    return c.e11 + c.e12 + c.e21 - c.e22
 
 
 def nested_json(key: str, depth: int = 5000) -> str:

@@ -7,10 +7,10 @@ import math
 
 import numpy as np
 
-from conftest import random_mdlhs_model, saturating_mixture
+from conftest import chsh, random_mdlhs_model, saturating_mixture
 
 from mdsteer.adversary import BiasModel, constraint_report
-from mdsteer.behaviors import CorrelatorVector, chsh_value, correlators, tilted_behavior
+from mdsteer.behaviors import CorrelatorVector, correlators, tilted_behavior
 from mdsteer.inequality import (
     local_bound,
     md_operator,
@@ -101,7 +101,7 @@ def test_criterion_5_tilted_closed_form_equivalence():
         for p in np.linspace(0.0, 0.5, 20):
             ok = ok and abs(md_operator(c, p) - tilted_closed_form(delta, p)) <= 1e-9
         expected_chsh = 2.0 * math.cos(delta) * (1.0 + math.sin(delta))
-        ok = ok and abs(chsh_value(behavior) - expected_chsh) <= 1e-9
+        ok = ok and abs(chsh(behavior) - expected_chsh) <= 1e-9
     report(5, "tilted operator and CHSH match closed forms on 20x20 grid", ok)
 
 

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import chsh
+
 from mdsteer.behaviors import (
     Behavior,
     behavior_from_quantum,
-    chsh_value,
     correlators,
     no_signalling_check,
     pr_box,
@@ -88,7 +89,7 @@ class TestBehaviorFromQuantum:
 
     def test_tsirelson_configuration(self):
         b = behavior_from_quantum(pure_state(math.pi / 4), **CHSH_DIRS)
-        assert chsh_value(b) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
+        assert chsh(b) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_output_invariants(self, seed):
@@ -139,7 +140,7 @@ class TestCorrelators:
 
 class TestPrBox:
     def test_chsh_is_algebraic_maximum(self):
-        assert chsh_value(pr_box()) == pytest.approx(4.0, abs=1e-15)
+        assert chsh(pr_box()) == pytest.approx(4.0, abs=1e-15)
 
     def test_no_signalling(self):
         report = no_signalling_check(pr_box())
@@ -149,13 +150,19 @@ class TestPrBox:
 class TestTiltedBehavior:
     def test_chsh_closed_form_at_pi_over_6(self):
         expected = 2 * math.cos(math.pi / 6) * 1.5  # = 3 sqrt(3) / 2
-        assert chsh_value(tilted_behavior(math.pi / 6)) == pytest.approx(expected, abs=1e-9)
+        assert chsh(tilted_behavior(math.pi / 6)) == pytest.approx(expected, abs=1e-9)
 
     def test_chsh_closed_form_on_grid(self):
         for delta in np.linspace(1e-6, math.pi / 6, 50):
-            got = chsh_value(tilted_behavior(delta))
+            got = chsh(tilted_behavior(delta))
             want = 2 * math.cos(delta) * (1 + math.sin(delta))
             assert got == pytest.approx(want, abs=1e-9)
+
+    def test_correlators_at_pi_over_6(self):
+        d = math.pi / 6
+        c = correlators(tilted_behavior(d))
+        want = [0.0, math.cos(d), math.cos(d), -math.sin(2 * d)]
+        np.testing.assert_allclose(c.as_array(), want, atol=1e-12)
 
     def test_no_signalling(self):
         assert no_signalling_check(tilted_behavior(math.pi / 6)).passed
@@ -202,8 +209,8 @@ class TestNoSignallingCheck:
 
 class TestChshValue:
     def test_uniform_zero(self):
-        assert chsh_value(uniform_behavior()) == 0.0
+        assert chsh(uniform_behavior()) == 0.0
 
     def test_tilted(self):
-        got = chsh_value(tilted_behavior(math.pi / 6))
+        got = chsh(tilted_behavior(math.pi / 6))
         assert got == pytest.approx(2.5980762113533156, abs=1e-6)

@@ -34,6 +34,15 @@ class TestEval:
         assert record["delta"] == pytest.approx(1.0, abs=1e-12)
         assert record["noSignalling"]["pass"]
 
+    def test_pr_box_record_pinned(self, tmp_path, capsys):
+        path = write_behavior(tmp_path / "pr.json", pr_box())
+        assert main(["eval", "--in", path, "--p", "0.3"]) == 0
+        # The record to the bit, as CI pins it.
+        assert capsys.readouterr().out == (
+            '{"I": 2.1540659228538015, "bound": 0.84, "delta": 1.3140659228538016, '
+            '"noSignalling": {"maxDeviation": 0.0, "pass": true}}\n'
+        )
+
     def test_uniform(self, tmp_path, capsys):
         path = write_behavior(tmp_path / "u.json", uniform_behavior())
         assert main(["eval", "--in", path, "--p", "0.5"]) == 0

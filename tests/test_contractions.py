@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import spherical
+
 from mdsteer.behaviors import OUTCOMES, behavior_from_quantum, correlators
 from mdsteer.inequality import md_operator
 from mdsteer.kernel import (
@@ -32,7 +34,7 @@ from mdsteer.optimize import QuantumAnsatz, quantum_value
 from mdsteer.steering import SETTINGS, assemblage_from_state, behavior_from_assemblage
 
 directions = st.builds(
-    Direction.spherical,
+    spherical,
     st.floats(0.0, 2.0 * math.pi),
     st.floats(0.0, math.pi),
 )

@@ -11,7 +11,6 @@ from mdsteer.inequality import (
     operator_value,
     pr_closed_form,
     randomness_rate,
-    tilted_bell_value,
     tilted_closed_form,
     violation,
 )
@@ -138,24 +137,6 @@ class TestTiltedClosedForm:
             tilted_closed_form(0.0, 0.5)
         with pytest.raises(ValidationError):
             tilted_closed_form(0.1, 0.7)
-
-
-class TestTiltedBellValue:
-    def test_zero_correlators(self):
-        assert tilted_bell_value(ZERO, math.pi / 6) == 0.0
-
-    def test_first_term_only(self):
-        assert tilted_bell_value(CorrelatorVector(1, 0, 0, 0), math.pi / 6) == 1.0
-
-    def test_regression_fixture(self):
-        # frozen from evaluating the functional on the computed correlators:
-        # e = (0, cos d, cos d, -sin 2d) at d = pi/6 gives 3 sqrt(3)
-        c = correlators(tilted_behavior(math.pi / 6))
-        assert tilted_bell_value(c, math.pi / 6) == pytest.approx(3 * math.sqrt(3), abs=1e-9)
-
-    def test_degenerate_delta_rejected(self):
-        with pytest.raises(ValidationError):
-            tilted_bell_value(PR, math.pi / 4)
 
 
 class TestRandomnessRate:

@@ -113,7 +113,8 @@ class TestPureState:
 
     @pytest.mark.parametrize("theta", np.linspace(0, math.pi / 2, 9))
     def test_purity(self, theta):
-        assert pure_state(theta).purity() == pytest.approx(1.0, abs=1e-12)
+        rho = pure_state(theta).density
+        assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExpectation:

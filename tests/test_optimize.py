@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import spherical
+
 from mdsteer.inequality import local_bound, pr_closed_form, tilted_closed_form
 from mdsteer.kernel import Direction, ValidationError
 from mdsteer.optimize import (
@@ -19,7 +21,7 @@ from mdsteer.optimize import (
 )
 
 FAST = SearchConfig(restarts=6, grid_density=5, max_iterations=200)
-DIRECTIONS = st.builds(Direction.spherical, st.floats(0.0, 2.0 * math.pi), st.floats(0.0, math.pi))
+DIRECTIONS = st.builds(spherical, st.floats(0.0, 2.0 * math.pi), st.floats(0.0, math.pi))
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,18 +13,18 @@ PUBLIC_NAMES = {
     "ExtremalStrategy", "MdLhsModel", "QuantumAnsatz", "SearchConfig", "Tolerances",
     "TwoQubitState", "ValidationError",
     "assemblage_from_mdlhs", "assemblage_from_state", "behavior_from_assemblage",
-    "behavior_from_quantum", "bell_phi_plus", "binary_entropy", "bound_sweep", "chsh_value",
-    "correlators", "curve", "expectation", "extremal_correlators", "local_bound",
+    "behavior_from_quantum", "bell_phi_plus", "binary_entropy", "bound_sweep",
+    "correlators", "curve", "extremal_correlators", "local_bound",
     "md_operator", "md_weight", "mdlhv_decomposition_check", "mix_assemblages",
-    "no_signalling_check", "pauli_observable", "pr_box",
+    "no_signalling_check", "pr_box",
     "pr_closed_form", "pure_state", "quantum_max", "quantum_value", "randomness_behavior",
-    "randomness_rate", "tensor", "tilted_behavior", "tilted_bell_value", "tilted_closed_form",
+    "randomness_rate", "tilted_behavior", "tilted_closed_form",
     "violation", "weight_bound", "weight_limit_values",
 }
 
 
 def test_all_lists_the_public_names():
-    assert len(mdsteer.__all__) == len(PUBLIC_NAMES) == 45
+    assert len(mdsteer.__all__) == len(PUBLIC_NAMES) == 40
     assert set(mdsteer.__all__) == PUBLIC_NAMES
     assert PUBLIC_NAMES <= set(dir(mdsteer))
 
