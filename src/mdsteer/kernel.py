@@ -322,12 +322,27 @@ def pure_state(theta: float) -> TwoQubitState:
     """The pure two-qubit family cos(theta)|00> - sin(theta)|11>.
 
     theta must lie in [0, pi/2]; theta = pi/4 is maximally entangled.
+
+    Kernel's one construction that skips TwoQubitState.__post_init__. The density
+    np.outer(psi, psi*) is Hermitian as built, and its one nonzero block, on |00>, |11>,
+    is [[cc, cs], [cs, ss]], so the trace and smallest-eigenvalue checks run on that
+    block in closed form, as _is_psd_2x2 does, with the general path's messages.
     """
     require_interval("theta", theta, RIGHT_ANGLE)
+    c, s = math.cos(theta), -math.sin(theta)
     psi = np.zeros(4, dtype=complex)
-    psi[0] = math.cos(theta)
-    psi[3] = -math.sin(theta)
-    return TwoQubitState(np.outer(psi, psi.conj()))
+    psi[0] = c
+    psi[3] = s
+    rho = np.outer(psi, psi.conj())
+    cc, ss, cs = c * c, s * s, c * s  # rho[0, 0], rho[3, 3], rho[0, 3], bit for bit
+    if unnormalized(cc + ss):
+        raise ValidationError(f"density trace is {cc + ss}, expected 1")
+    if (cc + ss) / 2 - math.hypot((cc - ss) / 2, cs) < -TOL.psd:
+        raise ValidationError("density matrix is not positive semidefinite")
+    rho.setflags(write=False)
+    state = object.__new__(TwoQubitState)
+    object.__setattr__(state, "density", rho)
+    return state
 
 
 def bell_phi_plus() -> TwoQubitState:

@@ -58,20 +58,28 @@ def _keyed(sigma: np.ndarray) -> Dict[AssemblageKey, np.ndarray]:
 class Assemblage:
     """Map (a, x) -> unnormalized 2x2 PSD matrix sigma_{a|x}.
 
-    Stored once, as a read-only stack sigma[x][a]; ``elements`` holds views of it.
+    Built from that map, or from a stack sigma[x][a] of shape (2, 2, 2, 2), which the
+    producers pass. Stored once, as a read-only stack; ``elements`` holds views of it.
     Invariants: every element is PSD and each setting's traces sum to 1. Compared by identity.
     """
 
-    elements: Dict[AssemblageKey, np.ndarray]
+    elements: Dict[AssemblageKey, np.ndarray] | np.ndarray
     _sigma: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for a, x in _KEYS:
-            if (a, x) not in self.elements:
-                raise ValidationError(f"missing assemblage element for (a={a}, x={x})")
-            if np.asarray(self.elements[(a, x)]).shape != (2, 2):
-                raise ValidationError(f"element (a={a}, x={x}) must be 2x2")
-        flat = frozen_copy([self.elements[k] for k in _KEYS], complex)
+        if isinstance(self.elements, np.ndarray):
+            if self.elements.shape != (2, 2, 2, 2):
+                raise ValidationError(
+                    f"assemblage stack must have shape (2, 2, 2, 2), got {self.elements.shape}"
+                )
+            flat = frozen_copy(self.elements, complex).reshape(len(_KEYS), 2, 2)
+        else:
+            for a, x in _KEYS:
+                if (a, x) not in self.elements:
+                    raise ValidationError(f"missing assemblage element for (a={a}, x={x})")
+                if np.asarray(self.elements[(a, x)]).shape != (2, 2):
+                    raise ValidationError(f"element (a={a}, x={x}) must be 2x2")
+            flat = frozen_copy([self.elements[k] for k in _KEYS], complex)
         # One verdict and one trace per element, as Python bools and floats.
         psd = is_psd(flat).tolist()
         traces = [re_a + re_d for re_a, re_d in flat.real.diagonal(0, -2, -1).tolist()]
@@ -85,7 +93,9 @@ class Assemblage:
         object.__setattr__(self, "_sigma", flat.reshape(2, 2, 2, 2))
 
     def outcome_probability(self, a: int, x: int) -> float:
-        """p(a|x) = Tr sigma_{a|x}."""
+        """p(a|x) = Tr sigma_{a|x}, for a in OUTCOMES and x in SETTINGS."""
+        if a not in OUTCOMES or x not in SETTINGS:
+            raise ValidationError(f"no assemblage element for (a={a}, x={x})")
         return float(np.trace(self.elements[(a, x)]).real)
 
 
@@ -153,12 +163,12 @@ def assemblage_from_state(state: TwoQubitState, alice_dirs: Sequence[Direction])
         raise ValidationError("exactly two Alice directions required")
     # rho[(i, k), (j, l)] with Alice's indices i, j first.
     rho = state.density.reshape(2, 2, 2, 2)
-    return Assemblage(_keyed(np.einsum("xaij,jkil->xakl", projectors(alice_dirs), rho)))
+    return Assemblage(np.einsum("xaij,jkil->xakl", projectors(alice_dirs), rho))
 
 
 def assemblage_from_mdlhs(model: MdLhsModel) -> Assemblage:
     """sigma_{a|x} = sum_lambda p(lambda|x) p(a|x,lambda) rho_{lambda|x}, a new one per call."""
-    return Assemblage(_keyed(_mdlhs_stack(model)))
+    return Assemblage(_mdlhs_stack(model))
 
 
 def behavior_from_assemblage(asm: Assemblage, bob_dirs: Sequence[Direction]) -> Behavior:
@@ -195,7 +205,7 @@ def mix_assemblages(
     """
     _require_eta(eta, UNIT)
     w = np.array([eta[k] for k in _KEYS]).reshape(2, 2, 1, 1)
-    return Assemblage(_keyed((1.0 - w) * steerable._sigma + w * mdlhs._sigma))
+    return Assemblage((1.0 - w) * steerable._sigma + w * mdlhs._sigma)
 
 
 def md_weight(eta: Dict[AssemblageKey, float]) -> float:

@@ -205,12 +205,3 @@ class TestNoSignallingCheck:
         report = no_signalling_check(Behavior(p))
         assert not report.passed
         assert report.max_deviation == pytest.approx(1.0)
-
-
-class TestChshValue:
-    def test_uniform_zero(self):
-        assert chsh(uniform_behavior()) == 0.0
-
-    def test_tilted(self):
-        got = chsh(tilted_behavior(math.pi / 6))
-        assert got == pytest.approx(2.5980762113533156, abs=1e-6)

@@ -5,10 +5,13 @@ The reference functions below spell out each definition with the kernel's
 pair at a time; the projector stack itself is checked against
 ``pauli_observable``, and the optimizer's closed-form correlators against the
 Born rule. States are complex and mixed and directions leave the x-z plane,
-so a transposed index in a contraction changes the result.
+so a transposed index in a contraction changes the result. ``pure_state``,
+which checks its density in closed form, is checked against the general
+``TwoQubitState`` construction it replaced.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,8 +22,10 @@ from conftest import spherical
 
 from mdsteer.behaviors import OUTCOMES, behavior_from_quantum, correlators
 from mdsteer.inequality import md_operator
+from mdsteer import kernel
 from mdsteer.kernel import (
     Direction,
+    Tolerances,
     TwoQubitState,
     ValidationError,
     partial_trace_alice,
@@ -49,6 +54,14 @@ def random_mixed_state(seed: int) -> TwoQubitState:
     rho = g @ g.conj().T
     rho = (rho + rho.conj().T) / 2
     return TwoQubitState(rho / np.trace(rho).real)
+
+
+def reference_pure_density(theta: float) -> np.ndarray:
+    """pure_state's density as TwoQubitState(np.outer(psi, psi*)) built it, all checks run."""
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = math.cos(theta)
+    psi[3] = -math.sin(theta)
+    return TwoQubitState(np.outer(psi, psi.conj())).density
 
 
 def reference_behavior(state, x_dirs, y_dirs):
@@ -149,3 +162,47 @@ def test_behavior_from_assemblage_matches_definition(seed, alice_dirs, bob_dirs)
     np.testing.assert_allclose(
         got, reference_behavior(state, alice_dirs, bob_dirs), rtol=0, atol=1e-14
     )
+
+
+PURE_THETAS = [0.0, math.pi / 4, math.pi / 2, *np.linspace(0.0, math.pi / 2, 33).tolist()]
+
+
+def check_pure_state(theta: float) -> None:
+    density = pure_state(theta).density
+    assert density.tobytes() == reference_pure_density(theta).tobytes()
+    assert density.dtype == complex and density.flags.c_contiguous
+    assert not density.flags.writeable
+    assert np.array_equal(TwoQubitState(density).density, density)
+
+
+@pytest.mark.parametrize("theta", PURE_THETAS)
+def test_pure_state_is_bit_identical_to_the_general_construction(theta):
+    check_pure_state(theta)
+
+
+@given(theta=st.floats(0.0, math.pi / 2))
+@settings(max_examples=200, deadline=None)
+def test_pure_state_matches_the_general_construction_on_draws(theta):
+    check_pure_state(theta)
+
+
+@pytest.mark.parametrize("theta", [-1e-12, math.pi / 2 + 1e-12, 4.0, -math.inf, math.nan])
+def test_pure_state_rejects_theta_as_before(theta):
+    with pytest.raises(ValidationError, match=re.escape(f"theta must be in [0, pi/2], got {theta}")):
+        pure_state(theta)
+
+
+# Tolerances no density can meet: each closed-form check must then fail as the general one does.
+IMPOSSIBLE = [
+    ("_NORM_SLACK", -1.0, "density trace is 1.0, expected 1"),
+    ("TOL", Tolerances(psd=-1.0), "density matrix is not positive semidefinite"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", IMPOSSIBLE)
+@pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4])
+def test_pure_state_checks_run_with_the_general_messages(monkeypatch, name, value, message, theta):
+    monkeypatch.setattr(kernel, name, value)
+    for build in (pure_state, reference_pure_density):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build(theta)

@@ -20,6 +20,7 @@ from mdsteer.steering import (
     SETTINGS,
     Assemblage,
     MdLhsModel,
+    _keyed,
     assemblage_from_mdlhs,
     assemblage_from_state,
     behavior_from_assemblage,
@@ -378,9 +379,11 @@ def owned_arrays(kind):
     if kind == "Behavior":
         p = pr_box().probabilities.copy()
         return [p], [Behavior(p).probabilities]
-    if kind == "Assemblage":
+    if kind == "Assemblage":  # from each form: the (a, x)-keyed dict and the stack sigma[x][a]
         elements = {k: m.copy() for k, m in maximally_mixed_assemblage().elements.items()}
-        return list(elements.values()), list(Assemblage(elements).elements.values())
+        stack = maximally_mixed_assemblage()._sigma.copy()
+        stored = [*Assemblage(elements).elements.values(), Assemblage(stack)._sigma]
+        return [*elements.values(), stack], stored
     model = random_mdlhs_model(3, n_lambdas=2)
     inputs = [model.p_lambda_given_x.copy(), model.p_a_given_x_lambda.copy(), model.states.copy()]
     again = MdLhsModel(*inputs)
@@ -491,3 +494,67 @@ class TestStackedValidation:
         message = "states[1][1] is not a valid density matrix"
         with pytest.raises(ValidationError, match=exactly(message)):
             MdLhsModel(model.p_lambda_given_x, model.p_a_given_x_lambda, states)
+
+
+def producer_stacks():
+    """The stacks sigma[x][a] that the three producers build, one per producer."""
+    rng = np.random.default_rng(21)
+    steerable = assemblage_from_state(pure_state(0.7), random_directions(rng, 2))
+    lhs = assemblage_from_mdlhs(random_mdlhs_model(21, n_lambdas=3))
+    w = rng.uniform()
+    mixed = mix_assemblages(steerable, lhs, {(a, x): w for a in OUTCOMES for x in SETTINGS})
+    return [asm._sigma.copy() for asm in (steerable, lhs, mixed)]
+
+
+class TestAssemblageFromStack:
+    """Assemblage(sigma[x][a]) builds what Assemblage(dict) does, with the same checks."""
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_stack_and_dict_build_the_same(self, index):
+        stack = producer_stacks()[index]
+        from_stack, from_dict = Assemblage(stack), Assemblage(_keyed(stack))
+        assert from_stack._sigma.tobytes() == from_dict._sigma.tobytes()
+        assert from_stack._sigma.tobytes() == stack.tobytes()
+        assert from_stack.elements.keys() == from_dict.elements.keys()
+        for key, m in from_dict.elements.items():
+            assert from_stack.elements[key].tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize(
+        "shape", [(4, 2, 2), (2, 2, 2), (2, 2, 2, 2, 1), (2, 2, 2, 3), (16,), ()]
+    )
+    def test_stack_of_wrong_shape_rejected(self, shape):
+        stack = np.zeros(shape, dtype=complex)
+        message = f"assemblage stack must have shape (2, 2, 2, 2), got {shape}"
+        with pytest.raises(ValidationError, match=exactly(message)):
+            Assemblage(stack)
+
+    # The messages are those TestStackedValidation expects from the dict form.
+    @pytest.mark.parametrize("kind", sorted(BAD_QUARTER))
+    @pytest.mark.parametrize("ia, a", enumerate(OUTCOMES))
+    @pytest.mark.parametrize("ix, x", enumerate(SETTINGS))
+    def test_stack_names_bad_element(self, ix, x, ia, a, kind):
+        stack = np.broadcast_to(np.eye(2, dtype=complex) / 4, (2, 2, 2, 2)).copy()
+        stack[ix, ia] = BAD_QUARTER[kind]
+        with pytest.raises(ValidationError, match=exactly(f"element (a={a}, x={x}) is not PSD")):
+            Assemblage(stack)
+
+    def test_stack_first_fault_in_loop_order(self):
+        stack = np.broadcast_to(np.eye(2, dtype=complex) / 4, (2, 2, 2, 2)).copy()
+        stack[1, 1] = BAD_QUARTER["indefinite"]
+        stack[0, 0] = np.eye(2, dtype=complex) / 2  # x=1 traces now sum to 1.5
+        with pytest.raises(ValidationError, match=exactly("traces for x=1 sum to 1.5, expected 1")):
+            Assemblage(stack)
+
+
+class TestOutcomeProbability:
+    @pytest.mark.parametrize("a, x", [(0, 1), (1, 3), (-1, 0), (2, 2), (math.nan, 1), ("+", 1)])
+    def test_unknown_key_is_a_validation_error(self, a, x):
+        asm = maximally_mixed_assemblage()
+        with pytest.raises(ValidationError, match=exactly(f"no assemblage element for (a={a}, x={x})")):
+            asm.outcome_probability(a, x)
+
+    def test_known_keys_are_traces(self):
+        asm = assemblage_from_state(pure_state(0.0), (Z, X))
+        assert [asm.outcome_probability(a, x) for x in SETTINGS for a in OUTCOMES] == [
+            1.0, 0.0, 0.5, 0.5
+        ]
