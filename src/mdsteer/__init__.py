@@ -13,26 +13,23 @@ __version__ = "0.1.0"
 # Public name -> the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys(
-        ("Behavior", "CorrelatorVector", "behavior_from_quantum", "correlators",
+        ("Behavior", "behavior_from_quantum", "correlators",
          "no_signalling_check", "pr_box", "randomness_behavior", "tilted_behavior"),
         "behaviors",
     ),
     **dict.fromkeys(
-        ("binary_entropy", "local_bound", "md_operator", "pr_closed_form", "randomness_rate",
-         "tilted_closed_form", "violation"),
+        ("CorrelatorVector", "CurvePoint", "binary_entropy", "curve", "local_bound",
+         "md_operator", "pr_closed_form", "randomness_rate", "tilted_closed_form", "violation"),
         "inequality",
     ),
-    **dict.fromkeys(
-        ("Direction", "Tolerances", "TwoQubitState", "ValidationError", "bell_phi_plus",
-         "pure_state"),
-        "kernel",
-    ),
+    **dict.fromkeys(("Direction", "Tolerances", "ValidationError"), "kernel"),
+    **dict.fromkeys(("TwoQubitState", "bell_phi_plus", "pure_state"), "linalg"),
     **dict.fromkeys(
         ("ExtremalStrategy", "bound_sweep", "extremal_correlators"),
         "oracle",
     ),
     **dict.fromkeys(
-        ("CurvePoint", "QuantumAnsatz", "SearchConfig", "curve", "quantum_max", "quantum_value"),
+        ("QuantumAnsatz", "SearchConfig", "quantum_max", "quantum_value"),
         "optimize",
     ),
     **dict.fromkeys(

@@ -3,82 +3,71 @@
 A behavior is the full conditional distribution over joint outcomes (a, b)
 given binary settings (x, y) for each party. Probabilities are stored as a
 (2, 2, 2, 2) array indexed [x][y][a][b], with index 0 standing for setting 1
-and outcome +1.
+and outcome +1, and as the same 16 numbers in a plain-float table, through
+which every check and sum of them runs (``table``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-# OUTCOMES is re-exported. projector and tensor are no longer called here, but
-# perfbench/tracing.py looks them up in this module by name.
+from . import table
+
+# CorrelatorVector and OUTCOMES are re-exported. projector and tensor are no longer
+# called here, but perfbench/tracing.py looks them up in this module by name.
+from .inequality import CorrelatorVector  # noqa: F401
 from .kernel import (  # noqa: F401
     GAMMA,
-    OUTCOME_SIGNS,
     OUTCOMES,
     TILT,
     TOL,
     Direction,
-    TwoQubitState,
     ValidationError,
-    bell_phi_plus,
     frozen_copy,
+    require_interval,
+)
+from .linalg import (  # noqa: F401
+    OUTCOME_SIGNS,
+    TwoQubitState,
+    bell_phi_plus,
     projector,
     projectors,
-    require_distribution,
-    require_interval,
-    require_json_object,
-    require_numbers,
     tensor,
 )
+from .table import NoSignallingReport, Table
 
 _AB_SIGNS = np.outer(OUTCOME_SIGNS, OUTCOME_SIGNS)  # a * b, indexed [a][b]
 
 
 @dataclass(frozen=True, eq=False)
 class Behavior:
-    """Conditional distribution p(ab|xy), validated for normalization; compared by identity."""
+    """Conditional distribution p(ab|xy), validated for normalization; compared by identity.
+
+    ``entries`` holds the same 16 numbers as a ``table.Table`` of Python floats.
+    """
 
     probabilities: np.ndarray
+    entries: Table = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         p = frozen_copy(self.probabilities, float)
-        if p.shape != (2, 2, 2, 2):
-            raise ValidationError(f"probabilities must have shape (2,2,2,2), got {p.shape}")
-        object.__setattr__(self, "probabilities", require_distribution("p(ab|xy)", p, (2, 3)))
+        table.require_shape(p.shape)
+        t = tuple(p.ravel().tolist())
+        table.require_table("p(ab|xy)", t)
+        object.__setattr__(self, "probabilities", p)
+        object.__setattr__(self, "entries", t)
 
     def to_json(self) -> str:
         return json.dumps({"probabilities": self.probabilities.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "Behavior":
-        data = require_json_object("behavior JSON", text)
-        if "probabilities" not in data:
-            raise ValidationError('behavior JSON must be {"probabilities": [[[[...]]]]}')
-        return cls(require_numbers("probabilities", data["probabilities"]))
-
-
-@dataclass(frozen=True)
-class CorrelatorVector:
-    """The four two-point correlators (<x1y1>, <x1y2>, <x2y1>, <x2y2>).
-
-    Correlators of valid behaviors lie in [-1, 1]; vectors produced by
-    measurement-dependent reweighting of extremal strategies may reach
-    magnitude 2 and are handled by the same type.
-    """
-
-    e11: float
-    e12: float
-    e21: float
-    e22: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.e11, self.e12, self.e21, self.e22])
+        return cls(np.reshape(table.read_table(text), table.SHAPE))
 
 
 def behavior_from_quantum(
@@ -97,8 +86,7 @@ def behavior_from_quantum(
 
 def correlators(b: Behavior) -> CorrelatorVector:
     """Two-point correlators <xy> = sum_ab a*b*p(ab|xy)."""
-    e = np.einsum("xyab,ab->xy", b.probabilities, _AB_SIGNS)
-    return CorrelatorVector(e[0, 0], e[0, 1], e[1, 0], e[1, 1])
+    return table.correlators(b.entries)
 
 
 def pr_box() -> Behavior:
@@ -147,18 +135,7 @@ def randomness_behavior(gamma: float) -> Behavior:
     return behavior_from_quantum(bell_phi_plus(), x_dirs, y_dirs)
 
 
-@dataclass(frozen=True)
-class NoSignallingReport:
-    max_deviation: float
-    passed: bool
-
-
 def no_signalling_check(b: Behavior, tol: float = TOL.check) -> NoSignallingReport:
     """Check that each party's marginals are independent of the other's setting."""
-    p = b.probabilities
-    alice = p.sum(axis=3)  # p(a|x, y) indexed [x][y][a]
-    bob = p.sum(axis=2)  # p(b|x, y) indexed [x][y][b]
-    diffs = np.concatenate([alice[:, 0, :] - alice[:, 1, :], bob[0, :, :] - bob[1, :, :]])
-    dev = float(np.abs(diffs).max())
-    return NoSignallingReport(max_deviation=dev, passed=dev <= tol)
+    return table.no_signalling_check(b.entries, tol)
 

@@ -11,16 +11,11 @@ import json
 import math
 import re
 import sys
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-import numpy as np
-
-from .behaviors import Behavior, correlators, no_signalling_check
-from .inequality import CURVE_KINDS, local_bound, md_operator, violation
+from .inequality import CURVE_KINDS, CurvePoint, curve, local_bound, md_operator, violation
 from .kernel import STEPS, Tolerances, ValidationError, require_finite, require_interval
-
-if TYPE_CHECKING:
-    from .optimize import CurvePoint
+from .table import correlators, no_signalling_check, read_table
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -31,16 +26,9 @@ EXIT_BOUND = 3
 _NEGATIVE_NUMBER = re.compile(r"-(inf|infinity|nan|\.?\d[\d.]*(e[-+]?\d+)?)", re.IGNORECASE)
 
 
-# The search and report layers are imported by the command that runs them,
-# so eval never loads optimize, oracle or adversary. These forwarders keep
-# their names module-level, where instrumentation may replace them.
-def curve(kind, p_grid, **kwargs):
-    """optimize.curve, imported on the first call."""
-    from .optimize import curve as optimize_curve
-
-    return optimize_curve(kind, p_grid, **kwargs)
-
-
+# The report layers load numpy and are imported by the command that runs them,
+# so eval and the closed-form curves start on the standard library alone. These
+# forwarders keep their names module-level, where instrumentation may replace them.
 def bound_sweep(p, samples, seed):
     """oracle.bound_sweep, imported on the first call."""
     from .oracle import bound_sweep as oracle_bound_sweep
@@ -59,10 +47,31 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
+def _linspace(start: float, stop: float, num: int) -> List[float]:
+    """numpy.linspace(start, stop, num) as Python floats, bit for bit, for num >= 1.
+
+    Each point is i * step + start, with numpy's two special cases: a step that
+    underflows to 0 is applied as (i / div) * delta, and one point is 0 * delta + start.
+    The last of two or more points is stop itself.
+    """
+    div, delta = num - 1, stop - start
+    if div == 0:
+        points = [0.0 * delta]
+    elif delta / div == 0:
+        points = [i / div * delta for i in range(num)]
+    else:
+        step = delta / div
+        points = [i * step for i in range(num)]
+    points = [y + start for y in points]
+    if num > 1:
+        points[-1] = stop
+    return points
+
+
 def _p_grid(args: argparse.Namespace) -> List[float]:
     require_interval("--steps", args.steps, STEPS)
     require_finite("--p-min and --p-max", args.p_min, args.p_max)
-    return list(np.linspace(args.p_min, args.p_max, args.steps))
+    return _linspace(args.p_min, args.p_max, args.steps)
 
 
 def _record(point: CurvePoint) -> dict:
@@ -105,12 +114,12 @@ def _write(path: Optional[str], text: str) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     try:
         with open(args.infile) as fh:
-            behavior = Behavior.from_json(fh.read())
+            probabilities = read_table(fh.read())
     except (OSError, ValueError) as exc:  # a ValidationError is a ValueError
         print(f"error: cannot read behavior file: {exc}", file=sys.stderr)
         return EXIT_IO
-    c = correlators(behavior)
-    ns = no_signalling_check(behavior, tol=Tolerances.from_env().check)
+    c = correlators(probabilities)
+    ns = no_signalling_check(probabilities, tol=Tolerances.from_env().check)
     record = {
         "I": md_operator(c, args.p),
         "bound": local_bound(args.p),

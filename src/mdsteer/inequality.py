@@ -3,18 +3,55 @@
 The central quantity is the operator value sqrt(alpha1) + sqrt(alpha2) built
 from reweighted correlators, bounded by 4 p (1 - p) for any hidden-variable
 model whose setting bias is limited by the measurement-dependence parameter
-p in [0, 0.5] (p = 0.5 means fully free choice).
+p in [0, 0.5] (p = 0.5 means fully free choice). The correlators it reads are
+a CorrelatorVector, and curve tabulates it over a grid of p for the figures.
+This module imports no numpy; curve loads the optimizer or the behaviors only
+for the kinds that need them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from .behaviors import CorrelatorVector
-from .kernel import BIAS, GAMMA, OPEN_RIGHT_ANGLE, TILT, UNIT, require_interval
+from .kernel import (
+    BIAS,
+    GAMMA,
+    OPEN_RIGHT_ANGLE,
+    TILT,
+    UNIT,
+    ValidationError,
+    require_interval,
+)
 
-# Figure curves over p: optimize.curve computes them and the CLI offers them.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .optimize import QuantumAnsatz
+
+# Figure curves over p: curve computes them and the CLI offers them.
 CURVE_KINDS = ("local", "prbox", "quantum", "tilted", "randomness")
+
+
+@dataclass(frozen=True)
+class CorrelatorVector:
+    """The four two-point correlators (<x1y1>, <x1y2>, <x2y1>, <x2y2>).
+
+    Correlators of valid behaviors lie in [-1, 1]; vectors produced by
+    measurement-dependent reweighting of extremal strategies may reach
+    magnitude 2 and are handled by the same type.
+    """
+
+    e11: float
+    e12: float
+    e21: float
+    e22: float
+
+    def as_array(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array([self.e11, self.e12, self.e21, self.e22])
 
 
 def operator_value(e11, e12, e21, e22, p: float, beta: float = math.pi / 4):
@@ -99,3 +136,68 @@ def randomness_rate(gamma: float) -> float:
     u = max(-s / (2.0 * math.sqrt(2.0)), -1.0)
     q = 0.5 + s / 2.0 - (3.0 / math.sqrt(2.0)) * math.cos(math.acos(u) / 3.0)
     return 1.0 + binary_entropy(q)
+
+
+@dataclass(frozen=True)
+class CurvePoint:
+    p: float
+    value: float
+    delta: Optional[float] = None
+    rate: Optional[float] = None
+    argmax: Optional[QuantumAnsatz] = None
+
+
+def curve(
+    kind: str,
+    p_grid: Sequence[float],
+    delta: Optional[float] = None,
+    gamma: Optional[float] = None,
+) -> List[CurvePoint]:
+    """Per-p values for figure emission.
+
+    local / prbox use the closed forms; quantum runs the optimizer; tilted
+    and randomness evaluate the corresponding fixed behavior and report the
+    signed violation (and, for randomness, the certified rate). delta is read
+    by the tilted curve only and gamma by the randomness curve only; either
+    one given to another kind is refused. The optimizer and the behaviors,
+    which load numpy, are imported only once a curve that needs them has
+    passed its own checks.
+    """
+    if kind not in CURVE_KINDS:
+        raise ValidationError(f"unknown curve kind {kind!r}; expected one of {CURVE_KINDS}")
+    for name, value, reader in (("delta", delta, "tilted"), ("gamma", gamma, "randomness")):
+        if value is not None and kind != reader:
+            raise ValidationError(f"{kind} curve takes no {name}, got {value}")
+    for p in p_grid:
+        require_interval("grid value", p, BIAS)
+
+    if kind == "local":
+        return [CurvePoint(p=p, value=local_bound(p)) for p in p_grid]
+    if kind == "prbox":
+        return [CurvePoint(p=p, value=pr_closed_form(p)) for p in p_grid]
+    if kind == "quantum":
+        from .optimize import quantum_max
+
+        return [quantum_max(p) for p in p_grid]
+    if kind == "tilted":
+        if delta is None:
+            raise ValidationError("tilted curve requires delta")
+        require_interval("delta", delta, TILT)
+        from .behaviors import correlators, tilted_behavior
+
+        c = correlators(tilted_behavior(delta))
+        return [
+            CurvePoint(p=p, value=md_operator(c, p), delta=violation(c, p))
+            for p in p_grid
+        ]
+    if gamma is None:
+        raise ValidationError("randomness curve requires gamma")
+    require_interval("gamma", gamma, GAMMA)
+    from .behaviors import correlators, randomness_behavior
+
+    c = correlators(randomness_behavior(gamma))
+    rate = randomness_rate(gamma)
+    return [
+        CurvePoint(p=p, value=md_operator(c, p), delta=violation(c, p), rate=rate)
+        for p in p_grid
+    ]

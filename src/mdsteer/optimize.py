@@ -12,36 +12,36 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-# behavior_from_quantum and pure_state are not called here, but
-# perfbench/tracing.py looks them up in this module by name.
+# Of these names, only CorrelatorVector, CurvePoint and md_operator are called
+# here; perfbench/tracing.py looks the others up in this module by name.
 from .behaviors import (  # noqa: F401
-    CorrelatorVector,
     behavior_from_quantum,
     correlators,
     randomness_behavior,
     tilted_behavior,
 )
-from .inequality import (
-    CURVE_KINDS,
+from .inequality import (  # noqa: F401
+    CorrelatorVector,
+    CurvePoint,
     local_bound,
     md_operator,
     pr_closed_form,
     randomness_rate,
     violation,
 )
-from .kernel import (  # noqa: F401
+from .kernel import (
     BIAS,
     RIGHT_ANGLE,
     Direction,
     ValidationError,
-    pure_state,
     require_count,
     require_interval,
 )
+from .linalg import pure_state  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,6 @@ class QuantumAnsatz:
         require_interval("theta", self.theta, RIGHT_ANGLE)
         if len(self.directions) != 4:
             raise ValidationError("exactly four measurement directions required")
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    p: float
-    value: float
-    delta: Optional[float] = None
-    rate: Optional[float] = None
-    argmax: Optional[QuantumAnsatz] = None
 
 
 # Nelder-Mead's xatol and fatol.
@@ -143,44 +134,3 @@ def quantum_max(p: float, config: SearchConfig = SearchConfig()) -> CurvePoint:
             best_value = float(-result.fun)
             best_params = result.x
     return CurvePoint(p=p, value=best_value, argmax=_ansatz(best_params))
-
-
-def curve(
-    kind: str,
-    p_grid: Sequence[float],
-    delta: Optional[float] = None,
-    gamma: Optional[float] = None,
-) -> List[CurvePoint]:
-    """Per-p values for figure emission.
-
-    local / prbox use the closed forms; quantum runs the optimizer; tilted
-    and randomness evaluate the corresponding fixed behavior and report the
-    signed violation (and, for randomness, the certified rate).
-    """
-    if kind not in CURVE_KINDS:
-        raise ValidationError(f"unknown curve kind {kind!r}; expected one of {CURVE_KINDS}")
-    for p in p_grid:
-        require_interval("grid value", p, BIAS)
-
-    if kind == "local":
-        return [CurvePoint(p=p, value=local_bound(p)) for p in p_grid]
-    if kind == "prbox":
-        return [CurvePoint(p=p, value=pr_closed_form(p)) for p in p_grid]
-    if kind == "quantum":
-        return [quantum_max(p) for p in p_grid]
-    if kind == "tilted":
-        if delta is None:
-            raise ValidationError("tilted curve requires delta")
-        c = correlators(tilted_behavior(delta))
-        return [
-            CurvePoint(p=p, value=md_operator(c, p), delta=violation(c, p))
-            for p in p_grid
-        ]
-    if gamma is None:
-        raise ValidationError("randomness curve requires gamma")
-    c = correlators(randomness_behavior(gamma))
-    rate = randomness_rate(gamma)
-    return [
-        CurvePoint(p=p, value=md_operator(c, p), delta=violation(c, p), rate=rate)
-        for p in p_grid
-    ]

@@ -26,8 +26,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .behaviors import CorrelatorVector
-from .inequality import local_bound, operator_value
+from .inequality import CorrelatorVector, local_bound, operator_value
 from .kernel import (
     OPEN_RIGHT_ANGLE,
     SWEEP_BIAS,

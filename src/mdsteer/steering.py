@@ -16,10 +16,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .behaviors import Behavior
-
-# projector, tensor and partial_trace_alice are no longer called here, but
-# perfbench/tracing.py looks them up in this module by name.
-from .kernel import (  # noqa: F401
+from .kernel import (
     BIAS,
     OPEN_UNIT,
     OUTCOMES,
@@ -27,17 +24,22 @@ from .kernel import (  # noqa: F401
     UNIT,
     Direction,
     Interval,
-    TwoQubitState,
     ValidationError,
     frozen_copy,
+    require_distribution,
+    require_interval,
+    unnormalized,
+)
+
+# projector, tensor and partial_trace_alice are no longer called here, but
+# perfbench/tracing.py looks them up in this module by name.
+from .linalg import (  # noqa: F401
+    TwoQubitState,
     is_psd,
     partial_trace_alice,
     projector,
     projectors,
-    require_distribution,
-    require_interval,
     tensor,
-    unnormalized,
 )
 
 SETTINGS = (1, 2)

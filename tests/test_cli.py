@@ -170,6 +170,23 @@ class TestCurve:
     def test_missing_delta_exits_2(self, tmp_path):
         assert main(["curve", "--kind", "tilted", "--steps", "2"]) == 2
 
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [
+            ("local", ["--delta", "nan"]),
+            ("prbox", ["--delta", "0.3"]),
+            ("quantum", ["--gamma", "0.1"]),
+            ("tilted", ["--delta", "0.5", "--gamma", "inf"]),
+            ("randomness", ["--gamma", "0.2", "--delta", "0.3"]),
+        ],
+    )
+    def test_flag_the_kind_never_reads_exits_2(self, kind, extra, capsys):
+        assert main(["curve", "--kind", kind, *extra, "--steps", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        flag, value = extra[-2:]
+        assert captured.err == f"error: {kind} curve takes no {flag[2:]}, got {float(value)}\n"
+
     def test_stdout_when_no_out(self, capsys):
         assert main(["curve", "--kind", "local", "--steps", "2"]) == 0
         assert capsys.readouterr().out.startswith("p,value")
@@ -381,8 +398,34 @@ class TestStartup:
         assert run_python(f"import sys, mdsteer; {LOADED}").strip() == "[]"
 
     def test_import_cli_defers_search_and_report_layers(self):
-        loaded = json.loads(run_python(f"import sys, mdsteer.cli; {LOADED}"))
-        assert loaded == ["mdsteer.behaviors", "mdsteer.cli", "mdsteer.inequality", "mdsteer.kernel"]
+        out = run_python(f"import sys, mdsteer.cli; print('numpy' in sys.modules); {LOADED}")
+        numpy_loaded, loaded = out.splitlines()
+        assert numpy_loaded == "False"
+        assert json.loads(loaded) == [
+            "mdsteer.cli", "mdsteer.inequality", "mdsteer.kernel", "mdsteer.table"
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["eval", "--in", "pr.json", "--p", "0.5"], 0),
+            (["eval", "--in", "negative.json", "--p", "0.5"], 1),
+            (["curve", "--kind", "local", "--steps", "3"], 0),
+            (["curve", "--kind", "prbox", "--steps", "3"], 0),
+            # The README's old tilted example: --delta 0.5236 > pi/6.
+            (["curve", "--kind", "tilted", "--delta", "0.5236", "--p-min", "0", "--p-max", "0.5",
+              "--steps", "26", "--out", "tilted.csv"], 2),
+        ],
+    )
+    def test_command_runs_without_numpy(self, argv, code, tmp_path):
+        write_behavior(tmp_path / "pr.json", pr_box())
+        p = np.full((2, 2, 2, 2), 0.25)
+        p[1, 0, 0, 1] = -0.05
+        p[1, 0, 1, 0] = 0.55
+        (tmp_path / "negative.json").write_text(json.dumps({"probabilities": p.tolist()}))
+        check = f"from mdsteer.cli import main; assert main({argv!r}) == {code}"
+        out = run_python(f"import sys; {check}; print('numpy' in sys.modules)", cwd=tmp_path)
+        assert out.splitlines()[-1] == "False"
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,13 +1,15 @@
 """The einsum contractions and closed forms checked against their definitions.
 
-The reference functions below spell out each definition with the kernel's
+The reference functions below spell out each definition with linalg's
 ``tensor``, ``projector`` and ``partial_trace_alice``, one (setting, outcome)
 pair at a time; the projector stack itself is checked against
 ``pauli_observable``, and the optimizer's closed-form correlators against the
 Born rule. States are complex and mixed and directions leave the x-z plane,
 so a transposed index in a contraction changes the result. ``pure_state``,
 which checks its density in closed form, is checked against the general
-``TwoQubitState`` construction it replaced.
+``TwoQubitState`` construction it replaced. The plain-float routes that run
+without numpy (a behavior's table and the CLI's p grid) are checked bit for
+bit against numpy copies of the array code they replaced.
 """
 
 import math
@@ -15,19 +17,18 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import spherical
 
+from mdsteer import kernel, linalg, table
 from mdsteer.behaviors import OUTCOMES, behavior_from_quantum, correlators
+from mdsteer.cli import _linspace
 from mdsteer.inequality import md_operator
-from mdsteer import kernel
-from mdsteer.kernel import (
-    Direction,
-    Tolerances,
+from mdsteer.kernel import Direction, Tolerances, ValidationError
+from mdsteer.linalg import (
     TwoQubitState,
-    ValidationError,
     partial_trace_alice,
     pauli_observable,
     projector,
@@ -202,7 +203,142 @@ IMPOSSIBLE = [
 @pytest.mark.parametrize("name, value, message", IMPOSSIBLE)
 @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4])
 def test_pure_state_checks_run_with_the_general_messages(monkeypatch, name, value, message, theta):
-    monkeypatch.setattr(kernel, name, value)
+    for module in (kernel, linalg):  # linalg runs the checks with the TOL it imported
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, value)
     for build in (pure_state, reference_pure_density):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             build(theta)
+
+
+# ------------------------------------------------ plain-float routes against numpy
+
+
+def same_bits(got, want) -> bool:
+    """Equal float for float, signed zeros told apart and every NaN equal to every NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    both_nan = np.isnan(got) & np.isnan(want)
+    return got.shape == want.shape and np.array_equal(
+        np.where(both_nan, 0.0, got).view(np.int64), np.where(both_nan, 0.0, want).view(np.int64)
+    )
+
+
+def reference_linspace(start, stop, num):
+    """The CLI's p grid as numpy built it; an overflowing span only warns there."""
+    with np.errstate(all="ignore"):
+        return np.linspace(start, stop, num)
+
+
+@given(
+    start=st.floats(allow_nan=False, allow_infinity=False),
+    stop=st.floats(allow_nan=False, allow_infinity=False),
+    num=st.integers(1, 10_000),
+)
+@example(start=0.0, stop=0.5, num=26)
+@example(start=0.2, stop=0.2, num=7)  # p_min == p_max
+@example(start=-0.0, stop=-0.0, num=1)
+@example(start=-0.0, stop=0.0, num=3)
+@example(start=0.0, stop=-0.0, num=2)
+@example(start=0.0, stop=1.5e-323, num=8)  # the step underflows to 0
+@example(start=0.0, stop=1e-320, num=3)  # a subnormal step
+@example(start=-1e308, stop=1e308, num=3)  # stop - start overflows
+@example(start=1.7976931348623157e308, stop=-1.7976931348623157e308, num=1)
+@settings(max_examples=300, deadline=None)
+def test_p_grid_is_numpy_linspace(start, stop, num):
+    assert same_bits(_linspace(start, stop, num), reference_linspace(start, stop, num))
+
+
+SIGNS_AB = np.array([[1.0, -1.0], [-1.0, 1.0]])  # a * b, indexed [a][b]
+
+
+def reference_correlators(t):
+    with np.errstate(all="ignore"):
+        return np.einsum("xyab,ab->xy", np.reshape(t, (2, 2, 2, 2)), SIGNS_AB).ravel()
+
+
+def reference_no_signalling(t):
+    p = np.reshape(t, (2, 2, 2, 2))
+    alice = p.sum(axis=3)  # p(a|x, y) indexed [x][y][a]
+    bob = p.sum(axis=2)  # p(b|x, y) indexed [x][y][b]
+    diffs = np.concatenate([alice[:, 0, :] - alice[:, 1, :], bob[0, :, :] - bob[1, :, :]])
+    return float(np.abs(diffs).max())
+
+
+def reference_check(t) -> str:
+    """The behavior check as require_distribution(p, (2, 3)) ran it: "" or its message."""
+    try:
+        with np.errstate(all="ignore"):
+            kernel.require_distribution("p(ab|xy)", np.reshape(t, (2, 2, 2, 2)), (2, 3))
+    except ValidationError as exc:
+        return str(exc)
+    return ""
+
+
+def table_check(t) -> str:
+    try:
+        table.require_table("p(ab|xy)", t)
+    except ValidationError as exc:
+        return str(exc)
+    return ""
+
+
+SPECIAL = [0.0, -0.0, 0.25, 0.5, 1.0, 1e-300, -1e-13, -2e-12, -0.05, 1.5, 1e308,
+           math.nan, math.inf, -math.inf]
+entries = st.one_of(st.floats(-0.1, 1.1), st.sampled_from(SPECIAL), st.floats())
+
+
+@st.composite
+def blocks(draw):
+    """p(ab|xy) for one (x, y): normalized up to rounding, or four free entries."""
+    if draw(st.booleans()):
+        a, b, c = (draw(st.floats(0.0, 1.0)) for _ in range(3))
+        total = a + b + c or 1.0
+        a, b, c = a / total / 2, b / total / 2, c / total / 2
+        return [a, b, c, 1.0 - a - b - c]
+    return [draw(entries) for _ in range(4)]
+
+
+@st.composite
+def tables(draw):
+    """16 entries from four blocks, then a few entries replaced by special values."""
+    t = [v for _ in range(4) for v in draw(blocks())]
+    for i in draw(st.lists(st.integers(0, 15), max_size=3)):
+        t[i] = draw(st.sampled_from(SPECIAL))
+    return tuple(t)
+
+
+finite_tables = st.lists(
+    st.one_of(st.floats(-1.0, 2.0), st.sampled_from([0.0, -0.0, 0.25, 0.5])),
+    min_size=16, max_size=16,
+).map(tuple)
+
+
+@given(t=st.one_of(tables(), st.lists(st.floats(), min_size=16, max_size=16).map(tuple)))
+@example(t=(-0.0, 0.0, 0.0, -0.0) * 4)  # a zero sum that einsum returns as +0.0
+@settings(max_examples=500, deadline=None)
+def test_table_correlators_are_the_einsum(t):
+    c = table.correlators(t)
+    assert same_bits([c.e11, c.e12, c.e21, c.e22], reference_correlators(t))
+
+
+@given(t=st.one_of(tables(), finite_tables))
+@settings(max_examples=500, deadline=None)
+def test_table_no_signalling_is_the_marginal_sum_form(t):
+    # It runs on checked behaviors: finite entries near [0, 1], whose sums cannot overflow.
+    t = tuple(v if abs(v) <= 2.0 else 0.5 for v in t)
+    assert same_bits(table.no_signalling_check(t).max_deviation, reference_no_signalling(t))
+
+
+@given(t=tables())
+@example(t=(0.25,) * 16)
+@example(t=(-0.0,) * 16)
+@example(t=(math.nan,) * 16)
+@example(t=(0.25,) * 15 + (math.inf,))
+@example(t=(0.25, 0.25, 0.25, -math.inf) + (0.25,) * 12)
+@example(t=(0.25,) * 8 + (0.55, -0.05, 0.25, 0.25) + (0.25,) * 4)
+@example(t=(0.6, -0.1, 0.25, 0.25) * 4)  # the first of equal smallest entries is named
+@example(t=(0.3,) * 16)
+@example(t=(0.25 + 5e-11, 0.25, 0.25, 0.25 - 1e-12) * 4)
+@settings(max_examples=1000, deadline=None)
+def test_table_check_is_require_distribution(t):
+    assert table_check(t) == reference_check(t)

@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mdsteer.kernel import (
-    TOL,
-    Direction,
-    Tolerances,
+from mdsteer.kernel import TOL, Direction, Tolerances, ValidationError, require_finite
+from mdsteer.linalg import (
     TwoQubitState,
-    ValidationError,
     bell_phi_plus,
     expectation,
     is_hermitian,
@@ -19,7 +16,6 @@ from mdsteer.kernel import (
     partial_trace_alice,
     pauli_observable,
     pure_state,
-    require_finite,
     tensor,
 )
 

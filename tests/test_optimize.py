@@ -10,15 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import spherical
 
-from mdsteer.inequality import local_bound, pr_closed_form, tilted_closed_form
+from mdsteer.inequality import curve, local_bound, pr_closed_form, tilted_closed_form
 from mdsteer.kernel import Direction, ValidationError
-from mdsteer.optimize import (
-    QuantumAnsatz,
-    SearchConfig,
-    curve,
-    quantum_max,
-    quantum_value,
-)
+from mdsteer.optimize import QuantumAnsatz, SearchConfig, quantum_max, quantum_value
 
 FAST = SearchConfig(restarts=6, grid_density=5, max_iterations=200)
 DIRECTIONS = st.builds(spherical, st.floats(0.0, 2.0 * math.pi), st.floats(0.0, math.pi))

@@ -8,14 +8,8 @@ from conftest import random_mdlhs_model
 
 from mdsteer.behaviors import OUTCOMES, Behavior, correlators, pr_box
 from mdsteer.inequality import local_bound, md_operator
-from mdsteer.kernel import (
-    Direction,
-    TwoQubitState,
-    ValidationError,
-    bell_phi_plus,
-    projectors,
-    pure_state,
-)
+from mdsteer.kernel import Direction, ValidationError
+from mdsteer.linalg import TwoQubitState, bell_phi_plus, projectors, pure_state
 from mdsteer.steering import (
     SETTINGS,
     Assemblage,
