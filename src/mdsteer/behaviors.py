@@ -4,13 +4,13 @@ A behavior is the full conditional distribution over joint outcomes (a, b)
 given binary settings (x, y) for each party. Probabilities are stored as a
 (2, 2, 2, 2) array indexed [x][y][a][b], with index 0 standing for setting 1
 and outcome +1, and as the same 16 numbers in a plain-float table, through
-which every check and sum of them runs (``table``).
+which every check and sum of them runs (``table``). The tilted and the
+randomness-tuned behavior are built as such tables too.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -18,18 +18,15 @@ import numpy as np
 
 from . import table
 
-# CorrelatorVector and OUTCOMES are re-exported. projector and tensor are no longer
-# called here, but perfbench/tracing.py looks them up in this module by name.
+# CorrelatorVector and OUTCOMES are re-exported. bell_phi_plus, projector and tensor are
+# no longer called here, but perfbench/tracing.py looks them up in this module by name.
 from .inequality import CorrelatorVector  # noqa: F401
 from .kernel import (  # noqa: F401
-    GAMMA,
     OUTCOMES,
-    TILT,
     TOL,
     Direction,
     ValidationError,
     frozen_copy,
-    require_interval,
 )
 from .linalg import (  # noqa: F401
     OUTCOME_SIGNS,
@@ -96,43 +93,13 @@ def pr_box() -> Behavior:
 
 
 def tilted_behavior(delta: float) -> Behavior:
-    """Quantum-extremal behavior on (|00> + |11>)/sqrt(2).
-
-    Alice measures sigma_z and -sin(delta) sigma_z + cos(delta) sigma_x;
-    Bob measures sigma_x and cos(delta) sigma_z - sin(delta) sigma_x.
-    Its CHSH value is 2 cos(delta) (1 + sin(delta)).
-    """
-    require_interval("delta", delta, TILT)
-    x_dirs = (
-        Direction(0.0, 0.0, 1.0),
-        Direction(math.cos(delta), 0.0, -math.sin(delta)),
-    )
-    y_dirs = (
-        Direction(1.0, 0.0, 0.0),
-        Direction(-math.sin(delta), 0.0, math.cos(delta)),
-    )
-    return behavior_from_quantum(bell_phi_plus(), x_dirs, y_dirs)
+    """The quantum-extremal behavior at tilt delta, table.tilted_table(delta), as a Behavior."""
+    return Behavior(np.reshape(table.tilted_table(delta), table.SHAPE))
 
 
 def randomness_behavior(gamma: float) -> Behavior:
-    """Behavior on (|00> + |11>)/sqrt(2) tuned for randomness certification.
-
-    Alice: sigma_z and the planar observable at angle 2pi/3 - 2 gamma;
-    Bob: sin(3 gamma) sigma_z + cos(3 gamma) sigma_x and
-    cos(pi/6 + gamma) sigma_z - sin(pi/6 + gamma) sigma_x.
-    """
-    require_interval("gamma", gamma, GAMMA)
-    a2 = 2 * math.pi / 3 - 2 * gamma
-    b2 = math.pi / 6 + gamma
-    x_dirs = (
-        Direction(0.0, 0.0, 1.0),
-        Direction(math.sin(a2), 0.0, math.cos(a2)),
-    )
-    y_dirs = (
-        Direction(math.cos(3 * gamma), 0.0, math.sin(3 * gamma)),
-        Direction(-math.sin(b2), 0.0, math.cos(b2)),
-    )
-    return behavior_from_quantum(bell_phi_plus(), x_dirs, y_dirs)
+    """The randomness-tuned behavior, table.randomness_table(gamma), as a Behavior."""
+    return Behavior(np.reshape(table.randomness_table(gamma), table.SHAPE))
 
 
 def no_signalling_check(b: Behavior, tol: float = TOL.check) -> NoSignallingReport:

@@ -26,9 +26,9 @@ EXIT_BOUND = 3
 _NEGATIVE_NUMBER = re.compile(r"-(inf|infinity|nan|\.?\d[\d.]*(e[-+]?\d+)?)", re.IGNORECASE)
 
 
-# The report layers load numpy and are imported by the command that runs them,
-# so eval and the closed-form curves start on the standard library alone. These
-# forwarders keep their names module-level, where instrumentation may replace them.
+# The report layers are imported by the command that runs them, so that the
+# others load neither. These forwarders keep their names module-level, where
+# instrumentation may replace them.
 def bound_sweep(p, samples, seed):
     """oracle.bound_sweep, imported on the first call."""
     from .oracle import bound_sweep as oracle_bound_sweep

@@ -5,8 +5,8 @@ from reweighted correlators, bounded by 4 p (1 - p) for any hidden-variable
 model whose setting bias is limited by the measurement-dependence parameter
 p in [0, 0.5] (p = 0.5 means fully free choice). The correlators it reads are
 a CorrelatorVector, and curve tabulates it over a grid of p for the figures.
-This module imports no numpy; curve loads the optimizer or the behaviors only
-for the kinds that need them.
+This module imports no numpy; curve loads the optimizer, which does, for the
+quantum kind only.
 """
 
 from __future__ import annotations
@@ -159,9 +159,9 @@ def curve(
     and randomness evaluate the corresponding fixed behavior and report the
     signed violation (and, for randomness, the certified rate). delta is read
     by the tilted curve only and gamma by the randomness curve only; either
-    one given to another kind is refused. The optimizer and the behaviors,
-    which load numpy, are imported only once a curve that needs them has
-    passed its own checks.
+    one given to another kind is refused. Those two read their correlators
+    from the behavior's plain-float table; the optimizer, which loads numpy,
+    is imported only once the quantum curve has passed its own checks.
     """
     if kind not in CURVE_KINDS:
         raise ValidationError(f"unknown curve kind {kind!r}; expected one of {CURVE_KINDS}")
@@ -179,23 +179,19 @@ def curve(
         from .optimize import quantum_max
 
         return [quantum_max(p) for p in p_grid]
+    from .table import correlators, randomness_table, tilted_table  # table imports this module
+
     if kind == "tilted":
         if delta is None:
             raise ValidationError("tilted curve requires delta")
-        require_interval("delta", delta, TILT)
-        from .behaviors import correlators, tilted_behavior
-
-        c = correlators(tilted_behavior(delta))
+        c = correlators(tilted_table(delta))
         return [
             CurvePoint(p=p, value=md_operator(c, p), delta=violation(c, p))
             for p in p_grid
         ]
     if gamma is None:
         raise ValidationError("randomness curve requires gamma")
-    require_interval("gamma", gamma, GAMMA)
-    from .behaviors import correlators, randomness_behavior
-
-    c = correlators(randomness_behavior(gamma))
+    c = correlators(randomness_table(gamma))
     rate = randomness_rate(gamma)
     return [
         CurvePoint(p=p, value=md_operator(c, p), delta=violation(c, p), rate=rate)

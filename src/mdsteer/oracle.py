@@ -14,7 +14,9 @@ of its own: its correlators are the weighted sum of its strategies'
 extremal_correlators. The operator is convex in the correlators, so no
 mixture exceeds its best extremal strategy. The oracle therefore evaluates
 the 4 x XI_GRID_POINTS grid vertices once and reports their exact maximum
-with a vertex that attains it; it draws no random number.
+with a vertex that attains it; it draws no random number. It runs on Python
+floats alone and rounds as numpy's array operations do, bit for bit: the
+array code is the reference in tests/test_contractions.py.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
-from .inequality import CorrelatorVector, local_bound, operator_value
+from .inequality import CorrelatorVector, local_bound
 from .kernel import (
     OPEN_RIGHT_ANGLE,
     SWEEP_BIAS,
@@ -38,8 +38,8 @@ from .kernel import (
     require_interval,
 )
 
-# Sign of Alice's response, indexed [setting][chi - 1]: rows x1, x2; columns chi = 1..4.
-_CHI_SIGNS = np.array([[+1.0, -1.0, +1.0, -1.0], [+1.0, -1.0, -1.0, +1.0]])
+# Sign of Alice's response to settings x1 and x2, indexed [chi - 1].
+_CHI_SIGNS = ((+1.0, +1.0), (-1.0, -1.0), (+1.0, -1.0), (-1.0, +1.0))
 
 XI_GRID_POINTS = 720
 
@@ -63,8 +63,15 @@ class ExtremalStrategy:
 
 
 def extremal_correlators(s: ExtremalStrategy) -> CorrelatorVector:
-    """Reweighted correlator vector of a single extremal strategy."""
-    return CorrelatorVector(*_component_correlators(s.chi, s.xi, s.p, s.beta))
+    """Reweighted correlator vector of a single extremal strategy.
+
+    Entry (x, y) is sign_x(chi) * 2 p(x) * cos(xi +- beta), with p(x1) = 1 - p
+    and p(x2) = p; each sign multiplies its weight exactly.
+    """
+    sign1, sign2 = _CHI_SIGNS[s.chi - 1]
+    f1, f2 = sign1 * (2.0 * (1.0 - s.p)), sign2 * (2.0 * s.p)
+    c_plus, c_minus = math.cos(s.xi + s.beta), math.cos(s.xi - s.beta)
+    return CorrelatorVector(c_plus * f1, c_minus * f1, c_plus * f2, c_minus * f2)
 
 
 @dataclass(frozen=True)
@@ -90,19 +97,6 @@ class SweepReport:
         )
 
 
-def _component_correlators(
-    chi: np.ndarray, xi: np.ndarray, p: float, beta: float = math.pi / 4
-) -> np.ndarray:
-    """Reweighted correlators (e11, e12, e21, e22) of extremal strategies; shape (4,) + chi.shape.
-
-    chi and xi have one shape. Entry (x, y) is sign_x(chi) * 2 p(x) * cos(xi +- beta),
-    with p(x1) = 1 - p and p(x2) = p.
-    """
-    factors = np.take(_CHI_SIGNS * [[2.0 * (1.0 - p)], [2.0 * p]], np.asarray(chi) - 1, axis=1)
-    cosines = np.cos([xi + beta, xi - beta])
-    return np.concatenate([cosines * factors[0], cosines * factors[1]])
-
-
 def vertex_maximum(p: float) -> Tuple[float, ExtremalStrategy]:
     """Largest operator value over the grid vertices at beta = pi/4, and a vertex attaining it.
 
@@ -110,15 +104,32 @@ def vertex_maximum(p: float) -> Tuple[float, ExtremalStrategy]:
     XI_GRID_POINTS values of xi evenly spaced over [-pi, pi). By convexity the
     value is also the maximum over all mixtures of these vertices. At beta =
     pi/4 every vertex sits on the bound 4 p (1 - p), to rounding, for p above
-    about 1e-150; below that, operator_value's squares underflow.
+    about 1e-150; below that, the squares underflow.
+
+    At each xi the four types give one value, bit for bit: chi = 2 and 4 negate
+    every correlator of chi = 1 and 3, and chi = 3 swaps chi = 1's alpha1 and
+    alpha2, whose roots add the same either way. So only chi = 1 is evaluated,
+    and its first maximum is the first over all 4 x XI_GRID_POINTS vertices in
+    (chi, xi) order. Each value is operator_value's as it rounds on numpy
+    arrays: squares are products and roots math.sqrt.
     """
     require_interval("p", p, SWEEP_BIAS)
-    xi_grid = np.linspace(-math.pi, math.pi, XI_GRID_POINTS, endpoint=False)
-    chi = np.repeat(np.arange(1, 5), XI_GRID_POINTS)
-    values = operator_value(*_component_correlators(chi, np.tile(xi_grid, 4), p), p)
-    best = int(np.argmax(values))
-    witness = ExtremalStrategy(int(chi[best]), float(xi_grid[best % XI_GRID_POINTS]), p)
-    return float(values[best]), witness
+    q, step = 1.0 - p, 2.0 * math.pi / XI_GRID_POINTS
+    f1, f2 = 2.0 * q, 2.0 * p
+    beta = math.pi / 4
+    c2b = math.cos(2.0 * beta)  # not quite 0, and kept as operator_value keeps it
+    best, best_xi = -math.inf, 0.0
+    for i in range(XI_GRID_POINTS):
+        xi = i * step - math.pi  # np.linspace(-pi, pi, XI_GRID_POINTS, endpoint=False)[i]
+        c_plus, c_minus = math.cos(xi + beta), math.cos(xi - beta)
+        x1y1, x1y2 = p * (c_plus * f1), p * (c_minus * f1)
+        x2y1, x2y2 = q * (c_plus * f2), q * (c_minus * f2)
+        a1, b1, a2, b2 = x1y1 + x2y1, x1y2 + x2y2, x1y1 - x2y1, x1y2 - x2y2
+        u1, u2 = a1 - c2b * b1, a2 - c2b * b2
+        value = math.sqrt(u1 * u1 + b1 * b1) + math.sqrt(u2 * u2 + b2 * b2)
+        if value > best:
+            best, best_xi = value, xi
+    return best, ExtremalStrategy(1, best_xi, p)
 
 
 def bound_sweep(p: float, samples: int, seed: int) -> SweepReport:

@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from conftest import chsh, random_mdlhs_model, saturating_mixture
+from test_contractions import component_correlators
 
 from mdsteer.adversary import BiasModel, constraint_report
 from mdsteer.behaviors import CorrelatorVector, correlators, tilted_behavior
@@ -21,7 +22,7 @@ from mdsteer.inequality import (
 )
 from mdsteer.kernel import Direction
 from mdsteer.optimize import SearchConfig, quantum_max
-from mdsteer.oracle import XI_GRID_POINTS, _component_correlators, bound_sweep
+from mdsteer.oracle import XI_GRID_POINTS, bound_sweep
 from mdsteer.steering import (
     OUTCOMES,
     SETTINGS,
@@ -66,7 +67,7 @@ def random_mixtures(rng, n, p):
     on_grid = xi_grid[rng.integers(0, XI_GRID_POINTS, size=shape)]
     xi = np.where(use_grid, on_grid, rng.uniform(-math.pi, math.pi, size=shape))
     weights = rng.dirichlet(np.ones(4), size=n)
-    return np.einsum("sc,esc->es", weights, _component_correlators(chi, xi, p))
+    return np.einsum("sc,esc->es", weights, component_correlators(chi, xi, p))
 
 
 def test_criterion_3_oracle_soundness():

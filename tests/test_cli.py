@@ -252,6 +252,28 @@ class TestCurve:
             assert len(records) == int(steps)
             assert all(list(record) == columns for record in records)
 
+    @pytest.mark.parametrize(
+        "extra, printed",
+        [
+            (["--kind", "tilted", "--delta", "0.5235"],
+             '[{"p": 0.0, "value": 2.449419876978993, "delta": 2.449419876978993}, '
+             '{"p": 0.25, "value": 1.8631122046666002, "delta": 1.1131122046666002}, '
+             '{"p": 0.5, "value": 1.4012721832971138, "delta": 0.4012721832971138}]\n'),
+            (["--kind", "randomness", "--gamma", "0.2617"],
+             '[{"p": 0.0, "value": 2.0001987657200364, "delta": 2.0001987657200364, '
+             '"r": 1.6011440983765561}, '
+             '{"p": 0.25, "value": 1.581264539002138, "delta": 0.831264539002138, '
+             '"r": 1.6011440983765561}, '
+             '{"p": 0.5, "value": 1.4142135553911166, "delta": 0.4142135553911166, '
+             '"r": 1.6011440983765561}]\n'),
+        ],
+        ids=["tilted", "randomness"],
+    )
+    def test_fixed_behavior_json_pinned(self, extra, printed, capsys):
+        # The records to the bit, as the behaviors' einsum over numpy arrays gave them.
+        assert main(["curve", *extra, "--steps", "3", "--format", "json"]) == 0
+        assert capsys.readouterr().out == printed
+
     def test_one_step_evaluates_p_min_only(self, capsys):
         argv = ["curve", "--kind", "local", "--p-min", "0.2", "--p-max", "0.4", "--steps", "1"]
         assert main(argv) == 0
@@ -415,6 +437,15 @@ class TestStartup:
             # The README's old tilted example: --delta 0.5236 > pi/6.
             (["curve", "--kind", "tilted", "--delta", "0.5236", "--p-min", "0", "--p-max", "0.5",
               "--steps", "26", "--out", "tilted.csv"], 2),
+            (["oracle", "--p", "0.3", "--samples", "1000", "--seed", "1"], 0),
+            (["oracle", "--p", "0.3", "--samples", "100000", "--seed", "42", "--out", "report.json"],
+             0),
+            (["adversary", "--theta", "0.3", "--phi", "2.051", "--delta", "2.447"], 0),
+            (["adversary", "--theta", "-1e-3", "--phi", "2.051", "--delta", "2.447"], 0),
+            (["curve", "--kind", "tilted", "--delta", "0.5235", "--p-min", "0", "--p-max", "0.5",
+              "--steps", "26", "--out", "tilted.csv"], 0),
+            (["curve", "--kind", "randomness", "--gamma", "0.2617", "--steps", "26",
+              "--format", "json"], 0),
         ],
     )
     def test_command_runs_without_numpy(self, argv, code, tmp_path):
@@ -426,6 +457,12 @@ class TestStartup:
         check = f"from mdsteer.cli import main; assert main({argv!r}) == {code}"
         out = run_python(f"import sys; {check}; print('numpy' in sys.modules)", cwd=tmp_path)
         assert out.splitlines()[-1] == "False"
+
+    def test_quantum_curve_is_the_command_that_loads_numpy(self):
+        argv = ["curve", "--kind", "quantum", "--steps", "1"]
+        check = f"from mdsteer.cli import main; assert main({argv!r}) == 0"
+        out = run_python(f"import sys; {check}; print('numpy' in sys.modules)")
+        assert out.splitlines()[-1] == "True"
 
     @pytest.mark.parametrize(
         "argv",

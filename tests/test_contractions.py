@@ -8,10 +8,14 @@ Born rule. States are complex and mixed and directions leave the x-z plane,
 so a transposed index in a contraction changes the result. ``pure_state``,
 which checks its density in closed form, is checked against the general
 ``TwoQubitState`` construction it replaced. The plain-float routes that run
-without numpy (a behavior's table and the CLI's p grid) are checked bit for
-bit against numpy copies of the array code they replaced.
+without numpy (a behavior's table, the CLI's p grid, the oracle's vertex
+maximum, the adversary's report and the tables of the two behaviors on
+(|00> + |11>)/sqrt(2)) are checked bit for bit against numpy copies of the
+array code they replaced; tests/test_oracle.py and the acceptance suite use
+the oracle's copy too.
 """
 
+import json
 import math
 import re
 
@@ -23,12 +27,20 @@ from hypothesis import strategies as st
 from conftest import spherical
 
 from mdsteer import kernel, linalg, table
-from mdsteer.behaviors import OUTCOMES, behavior_from_quantum, correlators
+from mdsteer.adversary import BiasModel, constraint_report
+from mdsteer.behaviors import (
+    OUTCOMES,
+    behavior_from_quantum,
+    correlators,
+    randomness_behavior,
+    tilted_behavior,
+)
 from mdsteer.cli import _linspace
-from mdsteer.inequality import md_operator
-from mdsteer.kernel import Direction, Tolerances, ValidationError
+from mdsteer.inequality import md_operator, operator_value
+from mdsteer.kernel import GAMMA, TILT, TOL, Direction, Tolerances, ValidationError
 from mdsteer.linalg import (
     TwoQubitState,
+    bell_phi_plus,
     partial_trace_alice,
     pauli_observable,
     projector,
@@ -37,6 +49,7 @@ from mdsteer.linalg import (
     tensor,
 )
 from mdsteer.optimize import QuantumAnsatz, quantum_value
+from mdsteer.oracle import XI_GRID_POINTS, ExtremalStrategy, extremal_correlators, vertex_maximum
 from mdsteer.steering import SETTINGS, assemblage_from_state, behavior_from_assemblage
 
 directions = st.builds(
@@ -342,3 +355,152 @@ def test_table_no_signalling_is_the_marginal_sum_form(t):
 @settings(max_examples=1000, deadline=None)
 def test_table_check_is_require_distribution(t):
     assert table_check(t) == reference_check(t)
+
+
+# ------------------------------------ the oracle, the adversary and the Phi+ tables against numpy
+
+# Sign of Alice's response, indexed [setting][chi - 1]: rows x1, x2; columns chi = 1..4.
+CHI_SIGNS = np.array([[+1.0, -1.0, +1.0, -1.0], [+1.0, -1.0, -1.0, +1.0]])
+
+XI_GRID = np.linspace(-math.pi, math.pi, XI_GRID_POINTS, endpoint=False)
+
+
+def component_correlators(chi, xi, p, beta=math.pi / 4):
+    """Reweighted correlators (e11, e12, e21, e22) of extremal strategies; shape (4,) + chi.shape.
+
+    The oracle's array kernel: chi and xi have one shape. Entry (x, y) is
+    sign_x(chi) * 2 p(x) * cos(xi +- beta), with p(x1) = 1 - p and p(x2) = p.
+    """
+    factors = np.take(CHI_SIGNS * [[2.0 * (1.0 - p)], [2.0 * p]], np.asarray(chi) - 1, axis=1)
+    cosines = np.cos([xi + beta, xi - beta])
+    return np.concatenate([cosines * factors[0], cosines * factors[1]])
+
+
+def reference_vertex_maximum(p):
+    """(value, chi, xi) of the first maximum of the array operator over all 4 x 720 vertices."""
+    chi = np.repeat(np.arange(1, 5), XI_GRID_POINTS)
+    values = operator_value(*component_correlators(chi, np.tile(XI_GRID, 4), p), p)
+    best = int(np.argmax(values))
+    return float(values[best]), int(chi[best]), float(XI_GRID[best % XI_GRID_POINTS])
+
+
+# p uniform on (0, 0.5] and log-uniform down to 1e-150, where operator_value's squares still hold.
+sweep_biases = st.one_of(
+    st.floats(0.0, 0.5, exclude_min=True),
+    st.floats(-150.0, math.log10(0.5)).map(lambda e: 10.0**e),
+)
+
+
+@given(p=sweep_biases)
+@example(p=0.5)
+@example(p=0.35)
+@example(p=0.3264)
+@example(p=1e-100)
+@example(p=1e-150)
+@example(p=1e-160)  # the squares underflow; the bits still agree
+@example(p=5e-324)
+@settings(max_examples=300, deadline=None)
+def test_vertex_maximum_is_the_array_grid(p):
+    value, witness = vertex_maximum(p)
+    want, chi, xi = reference_vertex_maximum(p)
+    assert same_bits(value, want)
+    assert (witness.chi, witness.xi, witness.p, witness.beta) == (chi, xi, p, math.pi / 4)
+
+
+@given(
+    chi=st.integers(1, 4),
+    xi=st.floats(-1e6, 1e6),
+    p=st.floats(0.0, 1.0),
+    beta=st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True),
+)
+@settings(max_examples=500, deadline=None)
+def test_extremal_correlators_are_the_array_kernel(chi, xi, p, beta):
+    c = extremal_correlators(ExtremalStrategy(chi, xi, p, beta))
+    assert all(type(e) is float for e in (c.e11, c.e12, c.e21, c.e22))
+    assert same_bits([c.e11, c.e12, c.e21, c.e22], component_correlators(chi, xi, p, beta))
+
+
+def reference_report_json(model) -> str:
+    """constraint_report's record as the numpy code built it, with numpy's BLAS dot."""
+    p_lambda = np.array([math.sin(model.delta) ** 2, math.cos(model.delta) ** 2])
+    c1, c2 = math.cos(model.theta) ** 2, math.cos(model.phi) ** 2
+    rows = np.array([[c1, 1.0 - c1], [c2, 1.0 - c2]])
+    return json.dumps({
+        "pX1": float(p_lambda @ np.array([c1, c2])),
+        "pLambda": p_lambda.tolist(),
+        "pXGivenLambda": rows.tolist(),
+        "maxL": float(rows.min()),
+        "independent": bool(np.abs(rows[0] - rows[1]).max() <= TOL.check),
+    })
+
+
+angles = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(theta=angles, phi=angles, delta=angles)
+@example(theta=0.3, phi=2.051, delta=2.447)  # the README's example
+@example(theta=math.pi / 4, phi=math.pi / 4, delta=1.0)  # a fair coin
+@example(theta=0.0, phi=math.pi / 2, delta=0.0)
+@example(theta=-1e-3, phi=2.051, delta=2.447)
+@example(theta=1e308, phi=-1e308, delta=5e-324)
+@settings(max_examples=1000, deadline=None)
+def test_constraint_report_is_the_array_route(theta, phi, delta):
+    model = BiasModel(theta, phi, delta)
+    report = constraint_report(model)
+    want = json.loads(reference_report_json(model))
+    assert report.to_json() == reference_report_json(model)
+    assert same_bits(report.p_x1, want["pX1"])
+    assert same_bits(report.p_lambda, want["pLambda"])
+    assert same_bits(report.p_x_given_lambda, want["pXGivenLambda"])
+    assert same_bits(report.max_l, want["maxL"])
+    assert report.measurement_independent is want["independent"]
+
+
+def reference_phi_plus(x_dirs, y_dirs):
+    """behavior_from_quantum's einsum on bell_phi_plus, clipped at 0."""
+    rho = bell_phi_plus().density.reshape(2, 2, 2, 2)
+    p = np.einsum("xaij,ybkl,jlik->xyab", projectors(x_dirs), projectors(y_dirs), rho)
+    return np.maximum(p.real, 0.0)
+
+
+def reference_tilted(delta):
+    x_dirs = (Direction(0.0, 0.0, 1.0), Direction(math.cos(delta), 0.0, -math.sin(delta)))
+    y_dirs = (Direction(1.0, 0.0, 0.0), Direction(-math.sin(delta), 0.0, math.cos(delta)))
+    return reference_phi_plus(x_dirs, y_dirs)
+
+
+def reference_randomness(gamma):
+    a2, b2 = 2 * math.pi / 3 - 2 * gamma, math.pi / 6 + gamma
+    x_dirs = (Direction(0.0, 0.0, 1.0), Direction(math.sin(a2), 0.0, math.cos(a2)))
+    y_dirs = (
+        Direction(math.cos(3 * gamma), 0.0, math.sin(3 * gamma)),
+        Direction(-math.sin(b2), 0.0, math.cos(b2)),
+    )
+    return reference_phi_plus(x_dirs, y_dirs)
+
+
+def check_phi_plus_table(t, behavior, want) -> None:
+    assert same_bits(t, want.ravel())
+    assert same_bits(behavior.probabilities, want)
+    c = table.correlators(t)
+    assert same_bits([c.e11, c.e12, c.e21, c.e22], reference_correlators(want.ravel()))
+
+
+@given(delta=st.floats(TILT[1], TILT[2], exclude_min=True))
+@example(delta=TILT[2])
+@example(delta=5e-324)
+@example(delta=0.5235)
+@settings(max_examples=300, deadline=None)
+def test_tilted_table_is_the_einsum(delta):
+    check_phi_plus_table(table.tilted_table(delta), tilted_behavior(delta), reference_tilted(delta))
+
+
+@given(gamma=st.floats(GAMMA[1], GAMMA[2]))
+@example(gamma=GAMMA[1])
+@example(gamma=GAMMA[2])
+@example(gamma=0.2617)
+@settings(max_examples=300, deadline=None)
+def test_randomness_table_is_the_einsum(gamma):
+    check_phi_plus_table(
+        table.randomness_table(gamma), randomness_behavior(gamma), reference_randomness(gamma)
+    )

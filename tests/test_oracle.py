@@ -8,29 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mixed_correlators, saturating_mixture
+from test_contractions import CHI_SIGNS, XI_GRID, component_correlators
 
 from mdsteer.behaviors import CorrelatorVector
 from mdsteer.inequality import local_bound, md_operator, operator_value
 from mdsteer.kernel import ValidationError
 from mdsteer.oracle import (
-    _CHI_SIGNS,
     XI_GRID_POINTS,
     ExtremalStrategy,
     SweepReport,
-    _component_correlators,
     bound_sweep,
     extremal_correlators,
     vertex_maximum,
 )
-
-XI_GRID = np.linspace(-math.pi, math.pi, XI_GRID_POINTS, endpoint=False)
 
 
 def sign_gather_correlators(chi, xi, p, beta=math.pi / 4):
     """The chunk kernel as first written: gather +-1 signs, multiply, stack four arrays."""
     c_plus = np.cos(xi + beta)
     c_minus = np.cos(xi - beta)
-    sa, sb = _CHI_SIGNS[:, chi - 1]
+    sa, sb = CHI_SIGNS[:, chi - 1]
     return np.stack(
         [
             sa * 2.0 * (1.0 - p) * c_plus,
@@ -105,17 +102,19 @@ class TestExtremalCorrelators:
 
 
 class TestComponentCorrelators:
+    """The oracle's array kernel, the reference kept in test_contractions, against its first form."""
+
     @pytest.mark.parametrize("beta", [math.pi / 4, 0.3, 1.2])
     @pytest.mark.parametrize("p", [0.5, 0.35, 0.3264, 1e-3])
     def test_arrays_equal_sign_gather(self, beta, p):
         rng = np.random.default_rng(5)
         chi = rng.integers(1, 5, size=(1000, 4))
         xi = rng.uniform(-math.pi, math.pi, size=(1000, 4))
-        got = _component_correlators(chi, xi, p, beta)
+        got = component_correlators(chi, xi, p, beta)
         assert np.array_equal(got, sign_gather_correlators(chi, xi, p, beta))
         grid_chi = np.repeat(np.arange(1, 5), 7)
         grid_xi = np.tile(np.linspace(-math.pi, math.pi, 7, endpoint=False), 4)
-        got = _component_correlators(grid_chi, grid_xi, p, beta)
+        got = component_correlators(grid_chi, grid_xi, p, beta)
         assert np.array_equal(got, sign_gather_correlators(grid_chi, grid_xi, p, beta))
 
     @given(
@@ -126,7 +125,7 @@ class TestComponentCorrelators:
     )
     @settings(max_examples=200, deadline=None)
     def test_scalars_equal_sign_gather(self, chi, xi, p, beta):
-        got = _component_correlators(chi, xi, p, beta)
+        got = component_correlators(chi, xi, p, beta)
         want = sign_gather_correlators(chi, xi, p, beta)
         assert got.shape == want.shape == (4,)
         assert np.array_equal(got, want)
@@ -266,7 +265,7 @@ class TestBoundSweep:
 
     @pytest.mark.parametrize("samples", [20_000, 500_000])
     def test_peak_memory_independent_of_samples(self, samples):
-        # The 2880 vertices' arrays alone, 0.42 MB, whatever the number of samples.
+        # A few floats at a time, under 1 KB, whatever the number of samples.
         tracemalloc.start()
         try:
             bound_sweep(0.3264, samples, seed=1)
@@ -302,7 +301,7 @@ class TestVertexMaximum:
         assert (witness.p, witness.beta) == (p, math.pi / 4)
         assert witness.xi in XI_GRID
         # Evaluated as the grid is, the witness gives the value bit for bit.
-        one = _component_correlators(np.array([witness.chi]), np.array([witness.xi]), p)
+        one = component_correlators(np.array([witness.chi]), np.array([witness.xi]), p)
         assert operator_value(*one, p)[0] == value
         # On scalars each ** 0.5 is libm's pow, not the grid's sqrt: up to 2 ulps apart (measured).
         assert abs(md_operator(extremal_correlators(witness), p) - value) <= 2 * np.spacing(value)
