@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .kernel import TOL, require_finite
 
@@ -37,18 +36,22 @@ def _fma(a: float, b: float, c: float) -> float:
     return math.fsum((a_hi * b_hi, a_hi * b_lo, a_lo * b_hi, a_lo * b_lo, c))
 
 
-@dataclass(frozen=True)
-class BiasModel:
+class _BiasModel(NamedTuple):
     theta: float
     phi: float
     delta: float
 
-    def __post_init__(self) -> None:
+
+class BiasModel(_BiasModel):
+    __slots__ = ()
+
+    def __new__(cls, theta: float, phi: float, delta: float) -> "BiasModel":
+        self = super().__new__(cls, theta, phi, delta)
         require_finite("bias model angles", self.theta, self.phi, self.delta)
+        return self
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(NamedTuple):
     p_x1: float
     p_lambda: Tuple[float, float]  # (p(lambda1), p(lambda2))
     p_x_given_lambda: Tuple[Tuple[float, float], Tuple[float, float]]  # [lambda][x]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from typing import List, Optional, Sequence
@@ -102,11 +103,16 @@ def _write(path: Optional[str], text: str) -> int:
     try:
         if path is None:
             sys.stdout.write(text)
+            sys.stdout.flush()
         else:
             with open(path, "w") as fh:
                 fh.write(text)
-    except OSError as exc:
+    except OSError as exc:  # a full disk, a closed pipe
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        if path is None:
+            # The text a failed flush leaves buffered would fail again as the interpreter
+            # exits, and turn exit 1 into 120; it goes to the null device instead.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
     return EXIT_OK
 
@@ -126,8 +132,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "delta": violation(c, args.p),
         "noSignalling": {"maxDeviation": ns.max_deviation, "pass": ns.passed},
     }
-    print(json.dumps(record, allow_nan=False))
-    return EXIT_OK
+    return _write(None, json.dumps(record, allow_nan=False) + "\n")
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
@@ -137,18 +142,19 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     report = bound_sweep(args.p, args.samples, args.seed)
-    text = report.to_json()
-    if args.out is not None and _write(args.out, text + "\n") != EXIT_OK:
+    text = report.to_json() + "\n"
+    if args.out is not None and _write(args.out, text) != EXIT_OK:
         return EXIT_IO
-    print(text)
+    if _write(None, text) != EXIT_OK:
+        return EXIT_IO
     return EXIT_OK if report.passed else EXIT_BOUND
 
 
 def cmd_adversary(args: argparse.Namespace) -> int:
     from .adversary import BiasModel
 
-    print(constraint_report(BiasModel(args.theta, args.phi, args.delta)).to_json())
-    return EXIT_OK
+    report = constraint_report(BiasModel(args.theta, args.phi, args.delta))
+    return _write(None, report.to_json() + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,8 +12,7 @@ quantum kind only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
 
 from .kernel import (
     BIAS,
@@ -34,8 +33,7 @@ if TYPE_CHECKING:
 CURVE_KINDS = ("local", "prbox", "quantum", "tilted", "randomness")
 
 
-@dataclass(frozen=True)
-class CorrelatorVector:
+class CorrelatorVector(NamedTuple):
     """The four two-point correlators (<x1y1>, <x1y2>, <x2y1>, <x2y2>).
 
     Correlators of valid behaviors lie in [-1, 1]; vectors produced by
@@ -138,8 +136,7 @@ def randomness_rate(gamma: float) -> float:
     return 1.0 + binary_entropy(q)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     p: float
     value: float
     delta: Optional[float] = None

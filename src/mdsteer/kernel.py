@@ -6,6 +6,16 @@ that only do arithmetic on a few floats start on the standard library alone:
 the checks that take arrays import numpy when called, and only array callers
 reach them. The dense linear algebra lives in ``linalg``; the few names of it
 that callers still read from here resolve through ``__getattr__``.
+
+The records of the standard-library modules (this one, ``inequality``,
+``table``, ``oracle`` and ``adversary``) are ``typing.NamedTuple``s, not
+dataclasses, so that no numpy-free command imports ``dataclasses`` and the
+``inspect`` it loads. A record that checks its fields is a NamedTuple base
+and a subclass whose ``__new__`` runs the checks (``_make`` and ``_replace``
+skip them; the package calls neither). The modules that load numpy
+(``behaviors``, ``linalg``, ``optimize``, ``steering``) keep dataclasses:
+their types hold arrays, most compare by identity, and numpy costs them more
+than ``dataclasses`` does.
 """
 
 from __future__ import annotations
@@ -15,8 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -26,8 +35,7 @@ class ValidationError(ValueError):
     """Raised when an input violates a documented precondition."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """Numerical tolerances shared by all validation checks.
 
     eq:    tolerance for equality comparisons (norms, Hermiticity, negative probabilities).
@@ -184,21 +192,26 @@ def require_count(what: str, value: int, least: int = 0) -> None:
         raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A unit vector on the Bloch sphere defining a dichotomic observable."""
-
+class _Direction(NamedTuple):
     nx: float
     ny: float
     nz: float
 
-    def __post_init__(self) -> None:
+
+class Direction(_Direction):
+    """A unit vector on the Bloch sphere defining a dichotomic observable."""
+
+    __slots__ = ()
+
+    def __new__(cls, nx: float, ny: float, nz: float) -> "Direction":
+        self = super().__new__(cls, nx, ny, nz)
         require_finite("direction", self.nx, self.ny, self.nz)
         norm2 = self.nx**2 + self.ny**2 + self.nz**2
         if abs(norm2 - 1.0) > TOL.eq:
             raise ValidationError(
                 f"direction ({self.nx}, {self.ny}, {self.nz}) is not a unit vector"
             )
+        return self
 
     @classmethod
     def planar(cls, angle: float) -> "Direction":

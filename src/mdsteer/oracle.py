@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .inequality import CorrelatorVector, local_bound
 from .kernel import (
@@ -44,22 +43,29 @@ _CHI_SIGNS = ((+1.0, +1.0), (-1.0, -1.0), (+1.0, -1.0), (-1.0, +1.0))
 XI_GRID_POINTS = 720
 
 
-@dataclass(frozen=True)
-class ExtremalStrategy:
-    """Response type chi and state parameter xi; Alice picks x1 with 1 - p and x2 with p."""
-
+class _ExtremalStrategy(NamedTuple):
     chi: int
     xi: float
-    p: float = 0.5
-    beta: float = math.pi / 4
+    p: float
+    beta: float
 
-    def __post_init__(self) -> None:
+
+class ExtremalStrategy(_ExtremalStrategy):
+    """Response type chi and state parameter xi; Alice picks x1 with 1 - p and x2 with p."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, chi: int, xi: float, p: float = 0.5, beta: float = math.pi / 4
+    ) -> "ExtremalStrategy":
+        self = super().__new__(cls, chi, xi, p, beta)
         require_count("chi", self.chi, 1)
         if self.chi > 4:
             raise ValidationError(f"chi must be in {{1,2,3,4}}, got {self.chi}")
         require_finite("xi", self.xi)
         require_interval("p", self.p, UNIT)
         require_interval("beta", self.beta, OPEN_RIGHT_ANGLE)
+        return self
 
 
 def extremal_correlators(s: ExtremalStrategy) -> CorrelatorVector:
@@ -74,8 +80,7 @@ def extremal_correlators(s: ExtremalStrategy) -> CorrelatorVector:
     return CorrelatorVector(c_plus * f1, c_minus * f1, c_plus * f2, c_minus * f2)
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     p: float
     samples: int
     max_operator: float

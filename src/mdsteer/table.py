@@ -14,8 +14,7 @@ sums add their terms in the order numpy's reductions do
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .inequality import CorrelatorVector
 from .kernel import (
@@ -116,8 +115,7 @@ def correlators(t: Table) -> CorrelatorVector:
     return CorrelatorVector(*e)
 
 
-@dataclass(frozen=True)
-class NoSignallingReport:
+class NoSignallingReport(NamedTuple):
     max_deviation: float
     passed: bool
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -332,6 +333,36 @@ def test_unwritable_out_exits_1(argv, tmp_path, capsys):
     assert captured.err.startswith("error: cannot write output: ")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--in", "pr.json", "--p", "0.3"],
+        ["curve", "--kind", "local", "--steps", "3"],
+        ["oracle", "--p", "0.3", "--samples", "1000", "--seed", "1"],
+        ["adversary", "--theta", "0.3", "--phi", "2.051", "--delta", "2.447"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_full_stdout_exits_1(argv, unbuffered, tmp_path):
+    # A buffered record fails only when flushed, and again as the interpreter exits.
+    write_behavior(tmp_path / "pr.json", pr_box())
+    env = checkout_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "mdsteer.cli", *argv], stdout=full, stderr=subprocess.PIPE,
+            text=True, env=env, cwd=tmp_path,
+        )
+    assert done.stderr == (
+        f"error: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    )
+    assert done.returncode == 1
+
+
 class TestAdversary:
     def test_example_a(self, capsys):
         code = main(["adversary", "--theta", "0.3", "--phi", "2.051", "--delta", "2.447"])
@@ -407,6 +438,14 @@ def run_python(code, cwd=None):
 
 
 LOADED = "import json; print(json.dumps(sorted(m for m in sys.modules if m.startswith('mdsteer.'))))"
+# The modules that no numpy-free command loads: dataclasses imports inspect, ast, dis, tokenize ...
+DEFERRED = "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+
+
+@pytest.fixture(scope="module")
+def bare_deferred():
+    """DEFERRED's line in a bare interpreter, where a site hook may have loaded them already."""
+    return run_python(f"import sys; {DEFERRED}").strip()
 
 
 class TestStartup:
@@ -419,10 +458,13 @@ class TestStartup:
     def test_import_mdsteer_loads_no_submodule(self):
         assert run_python(f"import sys, mdsteer; {LOADED}").strip() == "[]"
 
-    def test_import_cli_defers_search_and_report_layers(self):
-        out = run_python(f"import sys, mdsteer.cli; print('numpy' in sys.modules); {LOADED}")
-        numpy_loaded, loaded = out.splitlines()
+    def test_import_cli_defers_search_and_report_layers(self, bare_deferred):
+        out = run_python(
+            f"import sys, mdsteer.cli; print('numpy' in sys.modules); {DEFERRED}; {LOADED}"
+        )
+        numpy_loaded, deferred, loaded = out.splitlines()
         assert numpy_loaded == "False"
+        assert deferred == bare_deferred
         assert json.loads(loaded) == [
             "mdsteer.cli", "mdsteer.inequality", "mdsteer.kernel", "mdsteer.table"
         ]
@@ -448,15 +490,17 @@ class TestStartup:
               "--format", "json"], 0),
         ],
     )
-    def test_command_runs_without_numpy(self, argv, code, tmp_path):
+    def test_command_runs_without_numpy(self, argv, code, tmp_path, bare_deferred):
         write_behavior(tmp_path / "pr.json", pr_box())
         p = np.full((2, 2, 2, 2), 0.25)
         p[1, 0, 0, 1] = -0.05
         p[1, 0, 1, 0] = 0.55
         (tmp_path / "negative.json").write_text(json.dumps({"probabilities": p.tolist()}))
         check = f"from mdsteer.cli import main; assert main({argv!r}) == {code}"
-        out = run_python(f"import sys; {check}; print('numpy' in sys.modules)", cwd=tmp_path)
-        assert out.splitlines()[-1] == "False"
+        out = run_python(
+            f"import sys; {check}; print('numpy' in sys.modules); {DEFERRED}", cwd=tmp_path
+        )
+        assert out.splitlines()[-2:] == ["False", bare_deferred]
 
     def test_quantum_curve_is_the_command_that_loads_numpy(self):
         argv = ["curve", "--kind", "quantum", "--steps", "1"]

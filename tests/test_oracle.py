@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -70,7 +69,7 @@ class TestExtremalStrategy:
             assert ExtremalStrategy(chi=1, xi=0.0, p=p).p == p
 
     def test_fields_in_positional_order(self):
-        assert [f.name for f in dataclasses.fields(ExtremalStrategy)] == ["chi", "xi", "p", "beta"]
+        assert list(ExtremalStrategy._fields) == ["chi", "xi", "p", "beta"]
 
 
 class TestExtremalCorrelators:
