@@ -81,24 +81,20 @@ def _is_psd_2x2(m: np.ndarray, tol: float) -> np.ndarray:
 
 
 def is_psd(m: np.ndarray, tol: float = TOL.psd) -> bool | np.ndarray:
-    """Whether m is Hermitian with smallest eigenvalue >= -tol; stacks as is_hermitian.
+    """Whether m is Hermitian with smallest eigenvalue >= -tol: one bool for one 2x2
+    matrix, one per matrix for a stack (..., 2, 2); any other shape is a ValidationError.
 
-    A stack of 2x2 matrices [[a, b], [c, d]] is screened in closed form, with a few
-    ufunc calls over the whole stack. The Hermitian deviation is
-    max(|2 Im a|, |2 Im d|, |b - conj(c)|), the value is_hermitian computes, and it
-    gates the smallest eigenvalue (Re a + Re d)/2 - hypot((Re a - Re d)/2, |c|), which
-    reads the lower triangle only, as eigvalsh does. The tolerance semantics are those
-    of the general path: deviation <= max(tol, TOL.eq) and eigenvalue >= -tol. A NaN or
-    an infinite entry fails both. Other sizes take is_hermitian and eigvalsh.
+    Each matrix [[a, b], [c, d]] is screened in closed form, with a few ufunc calls
+    over the whole stack. The Hermitian deviation is max(|2 Im a|, |2 Im d|,
+    |b - conj(c)|), the value is_hermitian computes, and it gates the smallest
+    eigenvalue (Re a + Re d)/2 - hypot((Re a - Re d)/2, |c|), which reads the lower
+    triangle only, as eigvalsh does: deviation <= max(tol, TOL.eq) and eigenvalue
+    >= -tol. A NaN or an infinite entry fails both.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape[-2:] == (2, 2):
-        return _verdict(_is_psd_2x2(m, tol))
-    hermitian = is_hermitian(m, tol=max(tol, TOL.eq))
-    if not np.any(hermitian):  # also covers non-square input, which eigvalsh rejects
-        return hermitian
-    # eigvalsh reads one triangle only, so the Hermitian verdict must gate it.
-    return _verdict(hermitian & (np.linalg.eigvalsh(m).min(axis=-1) >= -tol))
+    if m.shape[-2:] != (2, 2):
+        raise ValidationError(f"is_psd takes 2x2 matrices, got shape {m.shape}")
+    return _verdict(_is_psd_2x2(m, tol))
 
 
 def pauli_observable(n: Direction) -> np.ndarray:

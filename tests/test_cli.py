@@ -35,15 +35,6 @@ class TestEval:
         assert record["delta"] == pytest.approx(1.0, abs=1e-12)
         assert record["noSignalling"]["pass"]
 
-    def test_pr_box_record_pinned(self, tmp_path, capsys):
-        path = write_behavior(tmp_path / "pr.json", pr_box())
-        assert main(["eval", "--in", path, "--p", "0.3"]) == 0
-        # The record to the bit, as CI pins it.
-        assert capsys.readouterr().out == (
-            '{"I": 2.1540659228538015, "bound": 0.84, "delta": 1.3140659228538016, '
-            '"noSignalling": {"maxDeviation": 0.0, "pass": true}}\n'
-        )
-
     def test_uniform(self, tmp_path, capsys):
         path = write_behavior(tmp_path / "u.json", uniform_behavior())
         assert main(["eval", "--in", path, "--p", "0.5"]) == 0
@@ -199,20 +190,6 @@ class TestCurve:
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
-    def test_quantum_json_pinned(self, capsys):
-        # The default search end to end, printed bytes and all (numpy 2.4 / scipy 1.17, x86-64).
-        assert main(["curve", "--kind", "quantum", "--steps", "3", "--format", "json"]) == 0
-        assert capsys.readouterr().out == (
-            '[{"p": 0.0, "value": 2.8284271247461903, "theta": 0.2617993877991494,'
-            ' "a1": -1.0471975511965985, "a2": 3.141592653589793, "b1": 3.141592653589793,'
-            ' "b2": 0.0},'
-            ' {"p": 0.25, "value": 2.121320343559643, "theta": 0.0,'
-            ' "a1": 0.0, "a2": 0.0, "b1": 0.0, "b2": 3.141592653589793},'
-            ' {"p": 0.5, "value": 1.4142135623730954, "theta": 1.309165472518171,'
-            ' "a1": -1.8437194421851112e-12, "a2": 2.094673919007646, "b1": 3.141592653510388,'
-            ' "b2": -3.141592653550947}]\n'
-        )
-
     @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning on the way
     @pytest.mark.parametrize(
         "bounds", [["--p-max", "inf"], ["--p-min", "nan"], ["--p-min=-inf"]]
@@ -252,28 +229,6 @@ class TestCurve:
             records = json.loads(out)
             assert len(records) == int(steps)
             assert all(list(record) == columns for record in records)
-
-    @pytest.mark.parametrize(
-        "extra, printed",
-        [
-            (["--kind", "tilted", "--delta", "0.5235"],
-             '[{"p": 0.0, "value": 2.449419876978993, "delta": 2.449419876978993}, '
-             '{"p": 0.25, "value": 1.8631122046666002, "delta": 1.1131122046666002}, '
-             '{"p": 0.5, "value": 1.4012721832971138, "delta": 0.4012721832971138}]\n'),
-            (["--kind", "randomness", "--gamma", "0.2617"],
-             '[{"p": 0.0, "value": 2.0001987657200364, "delta": 2.0001987657200364, '
-             '"r": 1.6011440983765561}, '
-             '{"p": 0.25, "value": 1.581264539002138, "delta": 0.831264539002138, '
-             '"r": 1.6011440983765561}, '
-             '{"p": 0.5, "value": 1.4142135553911166, "delta": 0.4142135553911166, '
-             '"r": 1.6011440983765561}]\n'),
-        ],
-        ids=["tilted", "randomness"],
-    )
-    def test_fixed_behavior_json_pinned(self, extra, printed, capsys):
-        # The records to the bit, as the behaviors' einsum over numpy arrays gave them.
-        assert main(["curve", *extra, "--steps", "3", "--format", "json"]) == 0
-        assert capsys.readouterr().out == printed
 
     def test_one_step_evaluates_p_min_only(self, capsys):
         argv = ["curve", "--kind", "local", "--p-min", "0.2", "--p-max", "0.4", "--steps", "1"]
@@ -367,17 +322,9 @@ class TestAdversary:
     def test_example_a(self, capsys):
         code = main(["adversary", "--theta", "0.3", "--phi", "2.051", "--delta", "2.447"])
         assert code == 0
-        printed = capsys.readouterr().out
-        record = json.loads(printed)
+        record = json.loads(capsys.readouterr().out)
         assert record["pX1"] == pytest.approx(0.5, abs=0.01)
         assert record["independent"] is False
-        # The record to the bit, as CI pins it.
-        assert printed == (
-            '{"pX1": 0.4998890700003336, "pLambda": [0.409692834048759, 0.590307165951241], '
-            '"pXGivenLambda": [[0.9126678074548391, 0.08733219254516089], '
-            '[0.21340687812266704, 0.786593121877333]], "maxL": 0.08733219254516089, '
-            '"independent": false}\n'
-        )
 
     def test_example_b(self, capsys):
         main(["adversary", "--theta", "0.7", "--phi", "2.179", "--delta", "0.96"])

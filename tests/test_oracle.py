@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mixed_correlators, saturating_mixture
-from test_contractions import CHI_SIGNS, XI_GRID, component_correlators
+from test_contractions import XI_GRID, component_correlators
 
 from mdsteer.behaviors import CorrelatorVector
 from mdsteer.inequality import local_bound, md_operator, operator_value
@@ -22,27 +22,11 @@ from mdsteer.oracle import (
 )
 
 
-def sign_gather_correlators(chi, xi, p, beta=math.pi / 4):
-    """The chunk kernel as first written: gather +-1 signs, multiply, stack four arrays."""
-    c_plus = np.cos(xi + beta)
-    c_minus = np.cos(xi - beta)
-    sa, sb = CHI_SIGNS[:, chi - 1]
-    return np.stack(
-        [
-            sa * 2.0 * (1.0 - p) * c_plus,
-            sa * 2.0 * (1.0 - p) * c_minus,
-            sb * 2.0 * p * c_plus,
-            sb * 2.0 * p * c_minus,
-        ],
-        axis=0,
-    )
-
-
 def grid_maximum(p):
     """Largest operator value over the 4 x XI_GRID_POINTS pure grid strategies."""
     xi = np.tile(XI_GRID, 4)
     chi = np.repeat(np.arange(1, 5), XI_GRID_POINTS)
-    return float(np.max(operator_value(*sign_gather_correlators(chi, xi, p), p)))
+    return float(np.max(operator_value(*component_correlators(chi, xi, p), p)))
 
 
 class TestExtremalStrategy:
@@ -98,36 +82,6 @@ class TestExtremalCorrelators:
                 int(rng.integers(1, 5)), rng.uniform(-math.pi, math.pi), rng.uniform(0, 0.5)
             )
             assert np.max(np.abs(extremal_correlators(s).as_array())) <= 2.0
-
-
-class TestComponentCorrelators:
-    """The oracle's array kernel, the reference kept in test_contractions, against its first form."""
-
-    @pytest.mark.parametrize("beta", [math.pi / 4, 0.3, 1.2])
-    @pytest.mark.parametrize("p", [0.5, 0.35, 0.3264, 1e-3])
-    def test_arrays_equal_sign_gather(self, beta, p):
-        rng = np.random.default_rng(5)
-        chi = rng.integers(1, 5, size=(1000, 4))
-        xi = rng.uniform(-math.pi, math.pi, size=(1000, 4))
-        got = component_correlators(chi, xi, p, beta)
-        assert np.array_equal(got, sign_gather_correlators(chi, xi, p, beta))
-        grid_chi = np.repeat(np.arange(1, 5), 7)
-        grid_xi = np.tile(np.linspace(-math.pi, math.pi, 7, endpoint=False), 4)
-        got = component_correlators(grid_chi, grid_xi, p, beta)
-        assert np.array_equal(got, sign_gather_correlators(grid_chi, grid_xi, p, beta))
-
-    @given(
-        chi=st.integers(1, 4),
-        xi=st.floats(-4.0, 4.0),
-        p=st.floats(0.0, 0.5),
-        beta=st.floats(0.0, math.pi / 2),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_scalars_equal_sign_gather(self, chi, xi, p, beta):
-        got = component_correlators(chi, xi, p, beta)
-        want = sign_gather_correlators(chi, xi, p, beta)
-        assert got.shape == want.shape == (4,)
-        assert np.array_equal(got, want)
 
 
 class TestMixtureCorrelators:
@@ -259,7 +213,7 @@ class TestBoundSweep:
         a = bound_sweep(0.35, 2 * 65536 + 5, seed=8)
         assert a == bound_sweep(0.35, 2 * 65536 + 5, seed=8)
         assert a.passed and a.samples == 2 * 65536 + 5
-        # The value of the sign-gather kernel, bit for bit.
+        # The maximum the sampled sweep printed, bit for bit.
         assert a.max_operator == 0.9100000000000004
 
     @pytest.mark.parametrize("samples", [20_000, 500_000])
