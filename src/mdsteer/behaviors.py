@@ -27,6 +27,7 @@ from .kernel import (  # noqa: F401
     Direction,
     ValidationError,
     frozen_copy,
+    require_distribution,
 )
 from .linalg import (  # noqa: F401
     OUTCOME_SIGNS,
@@ -55,7 +56,7 @@ class Behavior:
         p = frozen_copy(self.probabilities, float)
         table.require_shape(p.shape)
         t = tuple(p.ravel().tolist())
-        table.require_table("p(ab|xy)", t)
+        require_distribution("p(ab|xy)", t, table.SHAPE, 2)
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "entries", t)
 

@@ -2,9 +2,12 @@
 
 Outcomes are labelled +1 / -1 and stored at array index 0 / 1 (``OUTCOMES``)
 throughout the package. This module imports no numpy, so that the commands
-that only do arithmetic on a few floats start on the standard library alone:
-the checks that take arrays import numpy when called, and only array callers
-reach them. The dense linear algebra lives in ``linalg``; the few names of it
+that only do arithmetic on a few floats start on the standard library alone.
+Its checks take Python floats: a table of probabilities is checked as its
+flat entries and shape by ``require_distribution``, the one check that
+``Behavior``, the CLI's ``eval`` and ``MdLhsModel`` share. Its only numpy code
+is ``frozen_copy``, which imports numpy when called, and only array callers
+reach it. The dense linear algebra lives in ``linalg``; the few names of it
 that callers still read from here resolve through ``__getattr__``.
 
 The records of the standard-library modules (this one, ``inequality``,
@@ -25,7 +28,7 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, NamedTuple, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,16 +70,10 @@ TOL = Tolerances()
 OUTCOMES = (+1, -1)  # array index 0 <-> +1, index 1 <-> -1
 
 
-def require_finite(what: str, *values: float | np.ndarray) -> None:
-    """Reject NaN and infinities, scalar or array; range checks alone pass NaN."""
-    np = sys.modules.get("numpy")  # no array exists before numpy is loaded
+def require_finite(what: str, *values: float) -> None:
+    """Reject NaN and infinities; range checks alone pass NaN."""
     for v in values:
-        if np is not None and isinstance(v, np.ndarray):
-            finite = np.isfinite(v)
-            if not finite.all():
-                idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(finite)), v.shape))
-                raise ValidationError(f"{what} must be finite, got {v[idx]} at index {idx}")
-        elif not math.isfinite(v):
+        if not math.isfinite(v):
             raise ValidationError(f"{what} must be finite, got {v}")
 
 
@@ -110,24 +107,51 @@ def unnormalized(sums: float | np.ndarray) -> bool | np.ndarray:
     return abs(sums - 1.0) > _NORM_SLACK
 
 
-def require_distribution(what: str, probs, axis=None) -> np.ndarray:
-    """probs as a float array: finite, >= -TOL.eq, summing to 1 over axis (None: all of it)."""
-    import numpy as np
+def _unravel(i: int, shape: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The index in a C-ordered array of the given shape of its flat entry i."""
+    idx = []
+    for n in reversed(shape):
+        i, r = divmod(i, n)
+        idx.append(r)
+    return tuple(reversed(idx))
 
-    p = np.asarray(probs, dtype=float)
-    sums = p.sum(axis=axis)
-    bad = unnormalized(sums)
-    # NaN fails the >= test and an infinity puts its sum off 1, so these two
-    # reductions screen every fault; the messages below name the first one.
-    if not p.min(initial=0.0) >= -TOL.eq or bad.any():
-        require_finite(what, p)
-        if p.min(initial=0.0) < -TOL.eq:
-            idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(p)), p.shape))
-            raise ValidationError(f"{what} must be non-negative, got {p[idx]} at index {idx}")
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])  # () when axis is None
-        where = f" at index {idx}" if idx else ""
-        raise ValidationError(f"{what} must sum to 1, got {sums[idx]}{where}")
-    return p
+
+def require_distribution(
+    what: str, values: Sequence[float], shape: Tuple[int, ...], lead: int = 0
+) -> None:
+    """Each entry finite and >= -TOL.eq, and each row summing to 1.
+
+    values are the entries of a C-ordered array of the given shape, as Python
+    floats; a row is the run of entries that share their first lead indices
+    (lead = 0: all of them). The first fault is named: the first non-finite
+    entry, else the first smallest entry, with its index; else the first row
+    whose sum misses 1, with the row's index (none when lead = 0). A row is
+    summed left to right from 0.0, as numpy sums fewer than 8 contiguous floats;
+    builtin sum() compensates its rounding from Python 3.12 on.
+    """
+    size = math.prod(shape[lead:])
+    # A NaN fails one of these two tests and an infinity puts its row's sum off 1,
+    # so together they screen every fault; the messages below name the first one.
+    if min(values, default=0.0) >= -TOL.eq:
+        for row in range(math.prod(shape[:lead])):
+            s = 0.0
+            for v in values[row * size : row * size + size]:
+                s += v
+            if not abs(s - 1.0) <= _NORM_SLACK:
+                break
+        else:
+            return
+    for i, v in enumerate(values):
+        if not math.isfinite(v):
+            raise ValidationError(f"{what} must be finite, got {v} at index {_unravel(i, shape)}")
+    least = min(values, default=0.0)
+    if least < -TOL.eq:
+        where = _unravel(values.index(least), shape)
+        raise ValidationError(f"{what} must be non-negative, got {least} at index {where}")
+    # Every entry is finite and none is negative, so the screen broke off at the first
+    # row whose sum s misses 1.
+    where = f" at index {_unravel(row, shape[:lead])}" if lead else ""
+    raise ValidationError(f"{what} must sum to 1, got {s}{where}")
 
 
 def frozen_copy(values, dtype) -> np.ndarray:
@@ -168,17 +192,6 @@ def number_leaves(what: str, value) -> list:
 
     walk(value)
     return leaves
-
-
-def require_numbers(what: str, value) -> np.ndarray:
-    """A parsed JSON value as a float array, every leaf of it a number (number_leaves)."""
-    import numpy as np
-
-    number_leaves(what, value)
-    try:
-        return np.array(value, dtype=float)
-    except (ValueError, OverflowError) as exc:  # ragged nesting; an int beyond float range
-        raise ValidationError(f"{what} is not a numeric array: {exc}") from None
 
 
 def require_count(what: str, value: int, least: int = 0) -> None:

@@ -127,8 +127,8 @@ class MdLhsModel:
             raise ValidationError(f"p_a_given_x_lambda must have shape (2, {n}, 2)")
         if states.shape != (n, 2, 2, 2):
             raise ValidationError(f"states must have shape ({n}, 2, 2, 2)")
-        require_distribution("p(lambda|x)", plx, axis=1)
-        require_distribution("p(a|x,lambda)", pax, axis=2)
+        require_distribution("p(lambda|x)", plx.ravel().tolist(), plx.shape, 1)
+        require_distribution("p(a|x,lambda)", pax.ravel().tolist(), pax.shape, 2)
         invalid = ~is_psd(states) | unnormalized(np.trace(states, axis1=-2, axis2=-1).real)
         if invalid.any():
             lam, ix = np.argwhere(invalid)[0]  # the first in (lambda, x) order

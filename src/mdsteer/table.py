@@ -2,19 +2,20 @@
 
 A table is the tuple of p(ab|xy) in [x][y][a][b] order, so that entry
 8x + 4y + 2a + b is p(ab|xy), with index 0 standing for setting 1 and outcome
-+1. Reading one from a behavior file, checking it, and taking its correlators
-and its no-signalling deviation need no numpy: ``Behavior`` and the CLI's
-``eval`` share this route. So does building the two fixed behaviors on
-(|00> + |11>)/sqrt(2), the tilted and the randomness-tuned one. Each result
-equals the array route it replaced bit for bit, error messages included: the
-sums add their terms in the order numpy's reductions do
++1. Reading one from a behavior file, checking it (``kernel.require_distribution``
+over its four rows p(.|xy)), and taking its correlators and its no-signalling
+deviation need no numpy: ``Behavior`` and the CLI's ``eval`` share this route,
+for every file, malformed ones included. So does building the two fixed
+behaviors on (|00> + |11>)/sqrt(2), the tilted and the randomness-tuned one.
+Each result equals the array route it replaced bit for bit, error messages
+included: the sums add their terms in the order numpy's reductions do
 (tests/test_contractions.py checks this against numpy).
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 from .inequality import CorrelatorVector
 from .kernel import (
@@ -24,20 +25,14 @@ from .kernel import (
     Direction,
     ValidationError,
     number_leaves,
-    require_json_object,
+    require_distribution,
     require_interval,
-    require_numbers,
-    unnormalized,
+    require_json_object,
 )
 
 Table = Tuple[float, ...]
 
 SHAPE = (2, 2, 2, 2)
-
-
-def _index(i: int) -> Tuple[int, int, int, int]:
-    """The [x][y][a][b] index of table entry i."""
-    return (i >> 3, i >> 2 & 1, i >> 1 & 1, i & 1)
 
 
 def require_shape(shape: tuple) -> None:
@@ -53,56 +48,21 @@ def _is_nesting(value, depth: int = len(SHAPE)) -> bool:
             and _is_nesting(value[0], depth - 1) and _is_nesting(value[1], depth - 1))
 
 
-def table_of(value) -> Optional[Table]:
-    """The entries of a parsed JSON value that nests 2x2x2x2 numbers, as floats; else None.
-
-    Every leaf is checked to be a number first, as the array route checks it. None
-    also stands for an int beyond float range: numpy words that fault, as before.
-    """
-    leaves = number_leaves("probabilities", value)
-    if not _is_nesting(value):
-        return None
-    try:
-        return tuple(map(float, leaves))
-    except OverflowError:
-        return None
-
-
 def read_table(text: str) -> Table:
     """The checked table of a behavior file, {"probabilities": [[[[...]]]]}."""
     data = require_json_object("behavior JSON", text)
     if "probabilities" not in data:
         raise ValidationError('behavior JSON must be {"probabilities": [[[[...]]]]}')
     value = data["probabilities"]
-    t = table_of(value)
-    if t is None:  # numpy's array and the shape check word the fault, as they always have
-        p = require_numbers("probabilities", value)
-        require_shape(p.shape)
-        t = tuple(p.ravel().tolist())
-    require_table("p(ab|xy)", t)
+    leaves = number_leaves("probabilities", value)
+    try:
+        t = tuple(map(float, leaves)) if _is_nesting(value) else None
+    except OverflowError:  # an int beyond float range
+        t = None
+    if t is None:
+        raise ValidationError("probabilities must have shape (2,2,2,2) and entries in float range")
+    require_distribution("p(ab|xy)", t, SHAPE, 2)
     return t
-
-
-def require_table(what: str, t: Table) -> None:
-    """Each entry finite and >= -TOL.eq, and each p(.|xy) summing to 1.
-
-    The first fault is named as require_distribution(what, p, (2, 3)) names it:
-    the first non-finite entry, else the first smallest entry, else the first
-    setting pair whose sum misses 1.
-    """
-    if not all(map(math.isfinite, t)):
-        i = next(i for i, v in enumerate(t) if not math.isfinite(v))
-        raise ValidationError(f"{what} must be finite, got {t[i]} at index {_index(i)}")
-    least = min(t)
-    if least < -TOL.eq:
-        raise ValidationError(
-            f"{what} must be non-negative, got {least} at index {_index(t.index(least))}"
-        )
-    for i in range(0, 16, 4):
-        # numpy's sum of four contiguous floats starts from 0.0 and adds them in order.
-        s = 0.0 + t[i] + t[i + 1] + t[i + 2] + t[i + 3]
-        if unnormalized(s):
-            raise ValidationError(f"{what} must sum to 1, got {s} at index {_index(i)[:2]}")
 
 
 def correlators(t: Table) -> CorrelatorVector:

@@ -1,8 +1,11 @@
 """The golden CLI records: every pinned ``mdsteer`` command, its exit code and its stdout.
 
 ``cli.jsonl`` holds one record a line, ``{"argv": [...], "exit": N, "stdout": "..."}``;
-the input files the commands name (``pr.json``) sit next to it. ``tests/test_golden.py``
-replays each line through ``run`` and CI replays it through the installed ``mdsteer``.
+the input files the commands name (``pr.json``, ``negative.json`` and the malformed
+``shape.json``, ``ragged.json`` and ``huge.json``) sit next to it. ``tests/test_golden.py``
+replays each line through ``run``, ``tests/test_cli.py::TestStartup`` replays every line but
+``curve --kind quantum`` in a fresh interpreter that must not load numpy, and CI replays each
+line through the installed ``mdsteer``.
 
 ``python tests/golden/regen.py`` reruns every line's argv with this checkout's mdsteer
 and rewrites its exit code and stdout; to pin a new command, append a line with its argv

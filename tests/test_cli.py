@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import nested_json
+from golden.regen import records
 
 import mdsteer
 from mdsteer.behaviors import Behavior, pr_box
@@ -389,6 +390,12 @@ LOADED = "import json; print(json.dumps(sorted(m for m in sys.modules if m.start
 DEFERRED = "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
 
 
+# Every golden CLI line but the one command that loads numpy (and scipy).
+NUMPY_FREE = [
+    (r["argv"], r["exit"]) for r in records() if r["argv"][:3] != ["curve", "--kind", "quantum"]
+]
+
+
 @pytest.fixture(scope="module")
 def bare_deferred():
     """DEFERRED's line in a bare interpreter, where a site hook may have loaded them already."""
@@ -416,37 +423,12 @@ class TestStartup:
             "mdsteer.cli", "mdsteer.inequality", "mdsteer.kernel", "mdsteer.table"
         ]
 
-    @pytest.mark.parametrize(
-        "argv, code",
-        [
-            (["eval", "--in", "pr.json", "--p", "0.5"], 0),
-            (["eval", "--in", "negative.json", "--p", "0.5"], 1),
-            (["curve", "--kind", "local", "--steps", "3"], 0),
-            (["curve", "--kind", "prbox", "--steps", "3"], 0),
-            # The README's old tilted example: --delta 0.5236 > pi/6.
-            (["curve", "--kind", "tilted", "--delta", "0.5236", "--p-min", "0", "--p-max", "0.5",
-              "--steps", "26", "--out", "tilted.csv"], 2),
-            (["oracle", "--p", "0.3", "--samples", "1000", "--seed", "1"], 0),
-            (["oracle", "--p", "0.3", "--samples", "100000", "--seed", "42", "--out", "report.json"],
-             0),
-            (["adversary", "--theta", "0.3", "--phi", "2.051", "--delta", "2.447"], 0),
-            (["adversary", "--theta", "-1e-3", "--phi", "2.051", "--delta", "2.447"], 0),
-            (["curve", "--kind", "tilted", "--delta", "0.5235", "--p-min", "0", "--p-max", "0.5",
-              "--steps", "26", "--out", "tilted.csv"], 0),
-            (["curve", "--kind", "randomness", "--gamma", "0.2617", "--steps", "26",
-              "--format", "json"], 0),
-        ],
-    )
-    def test_command_runs_without_numpy(self, argv, code, tmp_path, bare_deferred):
-        write_behavior(tmp_path / "pr.json", pr_box())
-        p = np.full((2, 2, 2, 2), 0.25)
-        p[1, 0, 0, 1] = -0.05
-        p[1, 0, 1, 0] = 0.55
-        (tmp_path / "negative.json").write_text(json.dumps({"probabilities": p.tolist()}))
-        check = f"from mdsteer.cli import main; assert main({argv!r}) == {code}"
-        out = run_python(
-            f"import sys; {check}; print('numpy' in sys.modules); {DEFERRED}", cwd=tmp_path
-        )
+    @pytest.mark.parametrize("argv, code", NUMPY_FREE)
+    def test_command_runs_without_numpy(self, argv, code, bare_deferred):
+        # golden.regen.run replays the line in a temporary copy of the golden inputs.
+        check = f"from golden.regen import run; assert run({argv!r})[0] == {code}"
+        out = run_python(f"import sys; {check}; print('numpy' in sys.modules); {DEFERRED}",
+                         cwd=Path(__file__).parent)
         assert out.splitlines()[-2:] == ["False", bare_deferred]
 
     def test_quantum_curve_is_the_command_that_loads_numpy(self):

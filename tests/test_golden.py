@@ -20,5 +20,5 @@ def test_argvs_distinct():
 
 
 def test_pr_json_is_the_pr_box():
-    # CI writes its pr.json from pr_box().to_json() and replays these records against it.
+    # The records that read pr.json pin the PR box's outputs; CI replays them on a copy.
     assert (GOLDEN / "pr.json").read_bytes() == pr_box().to_json().encode()

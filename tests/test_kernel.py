@@ -183,18 +183,12 @@ class TestTolerancesFromEnv:
 
 
 class TestRequireFinite:
-    def test_finite_scalars_and_arrays_pass(self):
-        require_finite("x", 0.0, -1e300, np.zeros((2, 3)))
+    def test_finite_scalars_pass(self):
+        require_finite("x", 0.0, -1e300, np.float64(1e300))
 
     def test_scalar_rejected(self):
         with pytest.raises(ValidationError, match="angle must be finite, got nan"):
             require_finite("angle", 1.0, math.nan)
-
-    def test_array_entry_located(self):
-        a = np.ones((2, 2))
-        a[1, 0] = math.inf
-        with pytest.raises(ValidationError, match=r"got inf at index \(1, 0\)"):
-            require_finite("table", a)
 
 
 def reference_is_hermitian(m, tol=TOL.eq):

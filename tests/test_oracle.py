@@ -13,20 +13,12 @@ from mdsteer.behaviors import CorrelatorVector
 from mdsteer.inequality import local_bound, md_operator, operator_value
 from mdsteer.kernel import ValidationError
 from mdsteer.oracle import (
-    XI_GRID_POINTS,
     ExtremalStrategy,
     SweepReport,
     bound_sweep,
     extremal_correlators,
     vertex_maximum,
 )
-
-
-def grid_maximum(p):
-    """Largest operator value over the 4 x XI_GRID_POINTS pure grid strategies."""
-    xi = np.tile(XI_GRID, 4)
-    chi = np.repeat(np.arange(1, 5), XI_GRID_POINTS)
-    return float(np.max(operator_value(*component_correlators(chi, xi, p), p)))
 
 
 class TestExtremalStrategy:
@@ -242,11 +234,6 @@ class TestBoundSweep:
 
 
 class TestVertexMaximum:
-    @settings(max_examples=100, deadline=None)
-    @given(st.floats(1e-150, 0.5))
-    def test_equals_sign_gather_grid(self, p):
-        assert vertex_maximum(p)[0] == grid_maximum(p)
-
     @settings(max_examples=100, deadline=None)
     @given(st.floats(1e-150, 0.5))
     def test_witness_attains_value(self, p):

@@ -15,13 +15,14 @@ from mdsteer.kernel import (
     OPEN_RIGHT_ANGLE,
     POSITIVE,
     ValidationError,
+    number_leaves,
     require_count,
     require_distribution,
     require_interval,
-    require_numbers,
 )
 from mdsteer.oracle import ExtremalStrategy
 from mdsteer.steering import MdLhsModel, md_weight, weight_limit_values
+from mdsteer.table import read_table
 
 NAN, INF = math.nan, math.inf
 C = CorrelatorVector(0.1, 0.2, 0.3, 0.4)
@@ -56,27 +57,31 @@ class TestRequireInterval:
 
 
 class TestRequireDistribution:
-    def test_returns_float_array(self):
-        out = require_distribution("w", [0.25, 0.75])
-        assert out.dtype == float and out.tolist() == [0.25, 0.75]
-
     def test_each_row_is_one_distribution(self):
-        require_distribution("rows", np.array([[0.5, 0.5], [0.9, 0.1]]), axis=1)
+        require_distribution("rows", [0.5, 0.5, 0.9, 0.1], (2, 2), 1)
         with pytest.raises(ValidationError, match=r"^rows must sum to 1, got 1.1 at index \(1,\)$"):
-            require_distribution("rows", np.array([[0.5, 0.5], [0.9, 0.2]]), axis=1)
+            require_distribution("rows", [0.5, 0.5, 0.9, 0.2], (2, 2), 1)
 
     def test_whole_array_sum_has_no_index(self):
+        with pytest.raises(ValidationError, match=r"^w must sum to 1, got 1.1$"):
+            require_distribution("w", [0.5, 0.6], (2,))
+
+    def test_empty_input_sums_to_zero(self):
         with pytest.raises(ValidationError, match=r"^w must sum to 1, got 0.0$"):
-            require_distribution("w", [])
+            require_distribution("w", [], (0,))
 
     def test_negative_entry_located(self):
         with pytest.raises(ValidationError, match=r"non-negative, got -0.5 at index \(1,\)"):
-            require_distribution("w", [1.5, -0.5])
+            require_distribution("w", [1.5, -0.5], (2,))
+
+    def test_non_finite_entry_located(self):
+        with pytest.raises(ValidationError, match=r"^w must be finite, got inf at index \(1, 0\)$"):
+            require_distribution("w", [0.5, 0.5, INF, 0.0], (2, 2), 1)
 
     def test_slack(self):
-        require_distribution("w", [1.0 + 5e-11, -5e-13])
+        require_distribution("w", [1.0 + 5e-11, -5e-13], (2,))
         with pytest.raises(ValidationError):
-            require_distribution("w", [1.0 + 2e-10, 0.0])
+            require_distribution("w", [1.0 + 2e-10, 0.0], (2,))
 
 
 # Entry points whose hand-written checks let NaN through, since abs(nan - 1) > tol and
@@ -112,7 +117,7 @@ class TestSettingProbabilityPair:
             ExtremalStrategy(1, 0.0, p=-0.5)
 
 
-# JSON leaves that np.array(..., dtype=float) reads as 0.5, 1.0, 0.0 and nan.
+# JSON leaves that np.array(..., dtype=float) would read as 0.5, 1.0, 0.0 and nan.
 NON_NUMBERS = {"numeric string": "0.5", "true": True, "false": False, "null": None}
 
 
@@ -120,17 +125,23 @@ class TestJsonNumbers:
     @pytest.mark.parametrize("leaf", sorted(NON_NUMBERS))
     def test_leaf_rejected_at_any_depth(self, leaf):
         with pytest.raises(ValidationError, match="^table must hold only numbers, got "):
-            require_numbers("table", [[0.5, 0.5], [0.25, NON_NUMBERS[leaf]]])
+            number_leaves("table", [[0.5, 0.5], [0.25, NON_NUMBERS[leaf]]])
 
     def test_numbers_pass_as_float_array(self):
-        out = require_numbers("table", [[1, 0.5], [-2, 1e-300]])
-        assert out.dtype == float
-        np.testing.assert_array_equal(out, [[1.0, 0.5], [-2.0, 1e-300]])
+        # Integer leaves: a deterministic behavior, p(++|xy) = 1 for every (x, y).
+        block = [[1, 0], [0, 0]]
+        out = read_table(json.dumps({"probabilities": [[block, block], [block, block]]}))
+        assert all(type(v) is float for v in out)
+        assert out == (1.0, 0.0, 0.0, 0.0) * 4
 
-    @pytest.mark.parametrize("value", [[[1.0], [1.0, 2.0]], [10**400]])
+    @pytest.mark.parametrize("value", [[[1.0], [1.0, 2.0]], [[10**400, 0.0], [0.0, 0.5]]])
     def test_ragged_or_huge_rejected(self, value):
-        with pytest.raises(ValidationError, match="^table is not a numeric array: "):
-            require_numbers("table", value)
+        # p(.|x1 y1) of the PR box replaced by a ragged nesting, or by an int beyond float range.
+        data = json.loads(pr_box().to_json())
+        data["probabilities"][0][0] = value
+        message = r"^probabilities must have shape \(2,2,2,2\) and entries in float range$"
+        with pytest.raises(ValidationError, match=message):
+            read_table(json.dumps(data))
 
     @pytest.mark.parametrize("leaf", sorted(NON_NUMBERS))
     def test_behavior_json(self, leaf):
