@@ -33,8 +33,9 @@ from .linalg import (  # noqa: F401
     OUTCOME_SIGNS,
     TwoQubitState,
     bell_phi_plus,
+    pauli_coefficients,
     projector,
-    projectors,
+    projector_rows,
     tensor,
 )
 from .table import NoSignallingReport, Table
@@ -73,13 +74,16 @@ def behavior_from_quantum(
     x_dirs: Sequence[Direction],
     y_dirs: Sequence[Direction],
 ) -> Behavior:
-    """Projective-measurement behavior p(ab|xy) = Tr[(P_a^x (x) P_b^y) rho]."""
+    """Projective-measurement behavior p(ab|xy) = Tr[(P_a^x (x) P_b^y) rho].
+
+    In Bloch rows: N C M^T / 4 for the Bloch rows N and M of the parties' projectors and the
+    state's pauli_coefficients C, taken as Q C R^T with the projector_rows Q = N/2 and
+    R = M/2; clipped at 0.
+    """
     if len(x_dirs) != 2 or len(y_dirs) != 2:
         raise ValidationError("exactly two measurement directions per party required")
-    # rho[(i, k), (j, l)] with Alice's indices i, j first.
-    rho = state.density.reshape(2, 2, 2, 2)
-    p = np.einsum("xaij,ybkl,jlik->xyab", projectors(x_dirs), projectors(y_dirs), rho)
-    return Behavior(np.maximum(p.real, 0.0))
+    p = projector_rows(x_dirs) @ pauli_coefficients(state) @ projector_rows(y_dirs).T
+    return Behavior(np.maximum(p.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3), 0.0))
 
 
 def correlators(b: Behavior) -> CorrelatorVector:
@@ -90,7 +94,7 @@ def correlators(b: Behavior) -> CorrelatorVector:
 def pr_box() -> Behavior:
     """The PR box: perfectly correlated except anti-correlated at x=y=2."""
     target = np.array([[+1.0, +1.0], [+1.0, -1.0]])  # required a*b per (x, y)
-    return Behavior((1.0 + np.einsum("xy,ab->xyab", target, _AB_SIGNS)) / 4.0)
+    return Behavior((1.0 + np.multiply.outer(target, _AB_SIGNS)) / 4.0)
 
 
 def tilted_behavior(delta: float) -> Behavior:

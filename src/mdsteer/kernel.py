@@ -6,8 +6,8 @@ that only do arithmetic on a few floats start on the standard library alone.
 Its checks take Python floats: a table of probabilities is checked as its
 flat entries and shape by ``require_distribution``, the one check that
 ``Behavior``, the CLI's ``eval`` and ``MdLhsModel`` share. Its only numpy code
-is ``frozen_copy``, which imports numpy when called, and only array callers
-reach it. The dense linear algebra lives in ``linalg``; the few names of it
+is ``frozen_copy`` and the dtype check ``numeric_array`` it runs, which import
+numpy when called, and only array callers reach them. The dense linear algebra lives in ``linalg``; the few names of it
 that callers still read from here resolve through ``__getattr__``.
 
 The records of the standard-library modules (this one, ``inequality``,
@@ -154,11 +154,22 @@ def require_distribution(
     raise ValidationError(f"{what} must sum to 1, got {s}{where}")
 
 
+def numeric_array(values) -> np.ndarray:
+    """values as an array of integers, floats or complex numbers; strings, bools and objects
+    are refused, since casting would read the string "0.25" as 0.25."""
+    import numpy as np
+
+    out = np.asarray(values)
+    if out.dtype.kind not in "iufc":
+        raise ValidationError(f"expected an array of numbers, got dtype {out.dtype}")
+    return out
+
+
 def frozen_copy(values, dtype) -> np.ndarray:
     """A read-only C-ordered copy of values: a validated array that no caller can change."""
     import numpy as np
 
-    out = np.array(values, dtype=dtype, order="C")
+    out = np.array(numeric_array(values), dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 

@@ -6,10 +6,23 @@ hidden variable whose distribution may depend on Alice's setting. This module
 also provides the measurement-dependent weight md_weight(eta) = 1 - r, a ratio
 of mixing weights that no hidden-variable distribution enters, its limiting
 values, and the steerability bound on that weight.
+
+Every operator here is held as its Bloch row (t, x, y, z), sigma = (t I +
+x sigma_x + y sigma_y + z sigma_z)/2 (see ``linalg``), and every producer is a
+real matmul of such rows. With N and M the Bloch rows (1, +/-n) of Alice's and
+Bob's projectors and C the state's ``pauli_coefficients``:
+  assemblage_from_state      V = N C / 2
+  behavior_from_assemblage   p = V M^T / 2
+  assemblage_from_mdlhs      V[x][a] = sum_lambda p(lambda|x) p(a|x,lambda) v_{lambda|x}
+  mix_assemblages            V = (1 - eta) V_steerable + eta V_mdlhs
+A producer's rows are checked as rows: t - |(x, y, z)| >= -2 TOL.psd and each
+setting's traces t summing to 1. An assemblage given as complex matrices, and
+an MD-LHS model's complex states, are read through ``linalg.bloch_screen``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
@@ -21,24 +34,29 @@ from .kernel import (
     OPEN_UNIT,
     OUTCOMES,
     POSITIVE,
+    TOL,
     UNIT,
     Direction,
     Interval,
     ValidationError,
     frozen_copy,
+    numeric_array,
     require_distribution,
     require_interval,
     unnormalized,
 )
 
-# projector, tensor and partial_trace_alice are no longer called here, but
+# projector, tensor, partial_trace_alice and is_psd are no longer called here, but
 # perfbench/tracing.py looks them up in this module by name.
 from .linalg import (  # noqa: F401
     TwoQubitState,
+    bloch_screen,
     is_psd,
     partial_trace_alice,
+    pauli_coefficients,
+    pauli_matrices,
     projector,
-    projectors,
+    projector_rows,
     tensor,
 )
 
@@ -50,23 +68,47 @@ AssemblageKey = Tuple[int, int]  # (a, x) with a in {+1,-1}, x in {1,2}
 # Key (a, x) of each matrix of a stack sigma[x][a], in flat order: the one map between the two.
 _KEYS = tuple((a, x) for x in SETTINGS for a in OUTCOMES)
 
+# A Bloch row (t, r) is PSD when its smallest eigenvalue (t - |r|)/2 is >= -TOL.psd.
+_PSD_SLACK = 2.0 * TOL.psd
+
 
 def _keyed(sigma: np.ndarray) -> Dict[AssemblageKey, np.ndarray]:
     """The matrices of a stack sigma[x][a] as views keyed by (a, x)."""
     return dict(zip(_KEYS, sigma.reshape(len(_KEYS), 2, 2)))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _check(psd: Sequence[bool], traces: Sequence[float]) -> None:
+    """Raise for the first element, in _KEYS order, that is not PSD, or whose setting's traces,
+    summed at its last element, miss 1."""
+    for i, (a, x) in enumerate(_KEYS):
+        if not psd[i]:
+            raise ValidationError(f"element (a={a}, x={x}) is not PSD")
+        if a == OUTCOMES[-1] and unnormalized(trace_sum := traces[i - 1] + traces[i]):
+            raise ValidationError(f"traces for x={x} sum to {trace_sum}, expected 1")
+
+
 @dataclass(frozen=True, eq=False)
 class Assemblage:
     """Map (a, x) -> unnormalized 2x2 PSD matrix sigma_{a|x}.
 
-    Built from that map, or from a stack sigma[x][a] of shape (2, 2, 2, 2), which the
-    producers pass. Stored once, as a read-only stack; ``elements`` holds views of it.
+    Built from that map, or from a stack sigma[x][a] of shape (2, 2, 2, 2). Stored once, as
+    a read-only stack; ``elements`` holds views of it. Every element is also held as its
+    Bloch row (t, x, y, z), sigma = (t I + x sigma_x + y sigma_y + z sigma_z)/2, in the
+    read-only (4, 4) array ``_bloch`` in _KEYS order, which the Born rule and mixtures read.
     Invariants: every element is PSD and each setting's traces sum to 1. Compared by identity.
+
+    The producers build an Assemblage from Bloch rows (``_from_bloch``): the rows are checked
+    by t - |r| >= -2 TOL.psd and their trace sums, and the stack is derived from them.
     """
 
     elements: Dict[AssemblageKey, np.ndarray] | np.ndarray
     _sigma: np.ndarray = field(init=False, repr=False)
+    _bloch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.elements, np.ndarray):
@@ -79,20 +121,30 @@ class Assemblage:
             for a, x in _KEYS:
                 if (a, x) not in self.elements:
                     raise ValidationError(f"missing assemblage element for (a={a}, x={x})")
-                if np.asarray(self.elements[(a, x)]).shape != (2, 2):
+                if numeric_array(self.elements[(a, x)]).shape != (2, 2):
                     raise ValidationError(f"element (a={a}, x={x}) must be 2x2")
             flat = frozen_copy([self.elements[k] for k in _KEYS], complex)
-        # One verdict and one trace per element, as Python bools and floats.
-        psd = is_psd(flat).tolist()
-        traces = [re_a + re_d for re_a, re_d in flat.real.diagonal(0, -2, -1).tolist()]
-        # Faults are reported in _KEYS order; a setting's traces are summed at its last element.
-        for i, (a, x) in enumerate(_KEYS):
-            if not psd[i]:
-                raise ValidationError(f"element (a={a}, x={x}) is not PSD")
-            if a == OUTCOMES[-1] and unnormalized(trace_sum := traces[i - 1] + traces[i]):
-                raise ValidationError(f"traces for x={x} sum to {trace_sum}, expected 1")
+        rows, psd = bloch_screen(flat)
+        _check(psd.tolist(), rows[:, 0].tolist())
         object.__setattr__(self, "elements", _keyed(flat))
         object.__setattr__(self, "_sigma", flat.reshape(2, 2, 2, 2))
+        object.__setattr__(self, "_bloch", _read_only(rows))
+
+    @classmethod
+    def _from_bloch(cls, rows: np.ndarray) -> "Assemblage":
+        """The assemblage of Bloch rows (4, 4) in _KEYS order, checked as rows; it keeps the
+        array it is given, made read-only."""
+        flat = rows.tolist()
+        _check(
+            [t - math.hypot(x, y, z) >= -_PSD_SLACK for t, x, y, z in flat],
+            [row[0] for row in flat],
+        )
+        sigma = _read_only(pauli_matrices(0.5 * rows).reshape(2, 2, 2, 2))
+        asm = object.__new__(cls)
+        object.__setattr__(asm, "elements", _keyed(sigma))
+        object.__setattr__(asm, "_sigma", sigma)
+        object.__setattr__(asm, "_bloch", _read_only(rows))
+        return asm
 
     def outcome_probability(self, a: int, x: int) -> float:
         """p(a|x) = Tr sigma_{a|x}, for a in OUTCOMES and x in SETTINGS."""
@@ -109,12 +161,14 @@ class MdLhsModel:
       p_lambda_given_x[x][lam]   shape (2, n)
       p_a_given_x_lambda[x][lam][a]  shape (2, n, 2), a index 0 <-> +1
       states[lam][x]             shape (n, 2, 2, 2) complex densities
-    The model keeps read-only C-ordered copies of them. Compared by identity.
+    The model keeps read-only C-ordered copies of them, and the Bloch rows of the states,
+    indexed [x][lam], in ``_bloch``. Compared by identity.
     """
 
     p_lambda_given_x: np.ndarray
     p_a_given_x_lambda: np.ndarray
     states: np.ndarray
+    _bloch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         plx = frozen_copy(self.p_lambda_given_x, float)
@@ -129,13 +183,15 @@ class MdLhsModel:
             raise ValidationError(f"states must have shape ({n}, 2, 2, 2)")
         require_distribution("p(lambda|x)", plx.ravel().tolist(), plx.shape, 1)
         require_distribution("p(a|x,lambda)", pax.ravel().tolist(), pax.shape, 2)
-        invalid = ~is_psd(states) | unnormalized(np.trace(states, axis1=-2, axis2=-1).real)
-        if invalid.any():
-            lam, ix = np.argwhere(invalid)[0]  # the first in (lambda, x) order
-            raise ValidationError(f"states[{lam}][{ix}] is not a valid density matrix")
+        rows, psd = bloch_screen(states)
+        # The first fault in (lambda, x) order, from one verdict and one trace per state.
+        for i, (ok, trace) in enumerate(zip(psd.ravel().tolist(), rows[..., 0].ravel().tolist())):
+            if not ok or unnormalized(trace):
+                raise ValidationError(f"states[{i // 2}][{i % 2}] is not a valid density matrix")
         object.__setattr__(self, "p_lambda_given_x", plx)
         object.__setattr__(self, "p_a_given_x_lambda", pax)
         object.__setattr__(self, "states", states)
+        object.__setattr__(self, "_bloch", _read_only(rows.transpose(1, 0, 2)))
 
     @property
     def n_lambdas(self) -> int:
@@ -148,51 +204,62 @@ def _require_eta(eta: Dict[AssemblageKey, float], domain: Interval) -> None:
         require_interval(f"eta[(a={a}, x={x})]", eta.get((a, x), np.nan), domain)
 
 
-def _mdlhs_stack(model: MdLhsModel) -> np.ndarray:
-    """The stack sigma[x][a] = sum_lambda p(lambda|x) p(a|x,lambda) rho_{lambda|x}."""
-    plx, pax = model.p_lambda_given_x, model.p_a_given_x_lambda
-    return np.einsum("xn,xna,nxij->xaij", plx, pax, model.states)
+def _require_two(dirs: Sequence[Direction], party: str) -> None:
+    if len(dirs) != 2:
+        raise ValidationError(f"exactly two {party} directions required")
 
 
-def _born(bob: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """p[x][y][a][b] = Tr[P_b^y sigma_{a|x}] for projectors bob[y][b] and a stack sigma[x][a]."""
-    return np.maximum(np.einsum("ybkl,xalk->xyab", bob, sigma).real, 0.0)
+def _weights(model: MdLhsModel) -> np.ndarray:
+    """w[x][a][lambda] = p(lambda|x) p(a|x,lambda)."""
+    return model.p_a_given_x_lambda.transpose(0, 2, 1) * model.p_lambda_given_x[:, None, :]
+
+
+def _born(rows: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """p[x][y][a][b] = Tr[P_b^y sigma_{a|x}] = q . v for the Bloch row v = rows[xa] of the
+    element and Bob's projector row q = bob[yb], clipped at 0."""
+    return np.maximum((rows @ bob.T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3), 0.0)
 
 
 def assemblage_from_state(state: TwoQubitState, alice_dirs: Sequence[Direction]) -> Assemblage:
-    """sigma_{a|x} = Tr_A[(P_a^x (x) I) rho] for projective measurements."""
-    if len(alice_dirs) != 2:
-        raise ValidationError("exactly two Alice directions required")
-    # rho[(i, k), (j, l)] with Alice's indices i, j first.
-    rho = state.density.reshape(2, 2, 2, 2)
-    return Assemblage(np.einsum("xaij,jkil->xakl", projectors(alice_dirs), rho))
+    """sigma_{a|x} = Tr_A[(P_a^x (x) I) rho] for projective measurements.
+
+    In Bloch rows: N C / 2 for the Bloch rows N of Alice's projectors and the state's
+    pauli_coefficients C, taken as Q C with her projector_rows Q = N/2.
+    """
+    _require_two(alice_dirs, "Alice")
+    return Assemblage._from_bloch(projector_rows(alice_dirs) @ pauli_coefficients(state))
 
 
 def assemblage_from_mdlhs(model: MdLhsModel) -> Assemblage:
-    """sigma_{a|x} = sum_lambda p(lambda|x) p(a|x,lambda) rho_{lambda|x}, a new one per call."""
-    return Assemblage(_mdlhs_stack(model))
+    """sigma_{a|x} = sum_lambda p(lambda|x) p(a|x,lambda) rho_{lambda|x}, a new one per call.
+
+    In Bloch rows: one batched matmul of the weights w[x][a][lambda] with the states' rows.
+    """
+    return Assemblage._from_bloch((_weights(model) @ model._bloch).reshape(4, 4))
 
 
 def behavior_from_assemblage(asm: Assemblage, bob_dirs: Sequence[Direction]) -> Behavior:
-    """p(ab|xy) = Tr[P_b^y sigma_{a|x}] for Bob's projective measurements."""
-    if len(bob_dirs) != 2:
-        raise ValidationError("exactly two Bob directions required")
-    return Behavior(_born(projectors(bob_dirs), asm._sigma))
+    """p(ab|xy) = Tr[P_b^y sigma_{a|x}] for Bob's projective measurements.
+
+    In Bloch rows: V M^T / 2 for the assemblage's rows V and the Bloch rows M of Bob's
+    projectors, taken as V R^T with his projector_rows R = M/2.
+    """
+    _require_two(bob_dirs, "Bob")
+    return Behavior(_born(asm._bloch, projector_rows(bob_dirs)))
 
 
 def mdlhv_decomposition_check(model: MdLhsModel, bob_dirs: Sequence[Direction]) -> float:
     """Max |difference| between the assemblage route and the explicit hidden-variable sum.
 
-    Computes p(ab|xy) once by Bob's Born rule on the model's stack sigma[x][a], as
+    Computes p(ab|xy) once by Bob's Born rule on the model's assemblage rows, as
     behavior_from_assemblage(assemblage_from_mdlhs(model)) does but validating neither, and
     once as sum_lambda p(lambda|x) p(a|x,lambda) Tr[P_b^y rho_{lambda|x}]; they agree by linearity.
     """
-    if len(bob_dirs) != 2:
-        raise ValidationError("exactly two Bob directions required")
-    bob = projectors(bob_dirs)
-    plx, pax = model.p_lambda_given_x, model.p_a_given_x_lambda
-    direct = np.einsum("xn,xna,ybkl,nxlk->xyab", plx, pax, bob, model.states).real
-    return float(np.max(np.abs(_born(bob, _mdlhs_stack(model)) - direct)))
+    _require_two(bob_dirs, "Bob")
+    bob, w = projector_rows(bob_dirs), _weights(model)
+    via = _born((w @ model._bloch).reshape(4, 4), bob)
+    direct = (w @ (model._bloch @ bob.T)).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    return float(np.max(np.abs(via - direct)))
 
 
 def mix_assemblages(
@@ -200,14 +267,15 @@ def mix_assemblages(
     mdlhs: Assemblage,
     eta: Dict[AssemblageKey, float],
 ) -> Assemblage:
-    """Convex mixture (1 - eta^{a|x}) steerable + eta^{a|x} mdlhs, elementwise.
+    """Convex mixture (1 - eta^{a|x}) steerable + eta^{a|x} mdlhs, elementwise, of their
+    Bloch rows.
 
     With outcome-dependent eta the per-setting trace normalization can break;
     Assemblage then raises rather than silently renormalizing.
     """
     _require_eta(eta, UNIT)
-    w = np.array([eta[k] for k in _KEYS]).reshape(2, 2, 1, 1)
-    return Assemblage((1.0 - w) * steerable._sigma + w * mdlhs._sigma)
+    w = np.array([eta[k] for k in _KEYS])[:, None]
+    return Assemblage._from_bloch((1.0 - w) * steerable._bloch + w * mdlhs._bloch)
 
 
 def md_weight(eta: Dict[AssemblageKey, float]) -> float:

@@ -1,10 +1,13 @@
-"""The einsum contractions and closed forms checked against their definitions.
+"""The Bloch-row contractions and closed forms checked against their definitions.
 
 The reference functions below spell out each definition with linalg's
 ``tensor``, ``projector`` and ``partial_trace_alice``, one (setting, outcome)
 pair at a time; the projector stack itself is checked against
 ``pauli_observable``, and the optimizer's closed-form correlators against the
-Born rule. States are complex and mixed and directions leave the x-z plane,
+Born rule. The complex einsums that the Bloch route replaced are kept as
+references too: every producer of a behavior or an assemblage agrees with them
+to 1e-15, and the Pauli coefficients of ``pure_state`` are the block of the
+optimizer's closed form. States are complex and mixed and directions leave the x-z plane,
 so a transposed index in a contraction changes the result. ``pure_state``,
 which checks its density in closed form, is checked against the general
 ``TwoQubitState`` construction it replaced. The plain-float routes that run
@@ -24,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import spherical
+from conftest import random_mdlhs_model, spherical
 
 from mdsteer import kernel, linalg, table
 from mdsteer.adversary import BiasModel, constraint_report
@@ -50,7 +53,14 @@ from mdsteer.linalg import (
 )
 from mdsteer.optimize import QuantumAnsatz, quantum_value
 from mdsteer.oracle import XI_GRID_POINTS, ExtremalStrategy, extremal_correlators, vertex_maximum
-from mdsteer.steering import SETTINGS, assemblage_from_state, behavior_from_assemblage
+from mdsteer.steering import (
+    SETTINGS,
+    assemblage_from_mdlhs,
+    assemblage_from_state,
+    behavior_from_assemblage,
+    mdlhv_decomposition_check,
+    mix_assemblages,
+)
 
 directions = st.builds(
     spherical,
@@ -222,6 +232,98 @@ def test_pure_state_checks_run_with_the_general_messages(monkeypatch, name, valu
     for build in (pure_state, reference_pure_density):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             build(theta)
+
+
+# ------------------------------------------------ the Bloch route against the complex einsums
+
+# The contractions behavior_from_quantum and the steering layer ran on complex matrices before
+# they took Bloch rows. Every output of the Bloch route agrees with them to 1e-15.
+BLOCH_TOL = 1e-15
+
+
+def einsum_behavior_from_quantum(state, x_dirs, y_dirs):
+    rho = state.density.reshape(2, 2, 2, 2)  # rho[(i, k), (j, l)] with Alice's i, j first
+    p = np.einsum("xaij,ybkl,jlik->xyab", projectors(x_dirs), projectors(y_dirs), rho)
+    return np.maximum(p.real, 0.0)
+
+
+def einsum_assemblage_from_state(state, alice_dirs):
+    rho = state.density.reshape(2, 2, 2, 2)
+    return np.einsum("xaij,jkil->xakl", projectors(alice_dirs), rho)
+
+
+def einsum_mdlhs_stack(model):
+    plx, pax = model.p_lambda_given_x, model.p_a_given_x_lambda
+    return np.einsum("xn,xna,nxij->xaij", plx, pax, model.states)
+
+
+def einsum_born(bob_dirs, sigma):
+    return np.maximum(np.einsum("ybkl,xalk->xyab", projectors(bob_dirs), sigma).real, 0.0)
+
+
+def einsum_decomposition_check(model, bob_dirs):
+    plx, pax = model.p_lambda_given_x, model.p_a_given_x_lambda
+    direct = np.einsum("xn,xna,ybkl,nxlk->xyab", plx, pax, projectors(bob_dirs), model.states)
+    return float(np.max(np.abs(einsum_born(bob_dirs, einsum_mdlhs_stack(model)) - direct.real)))
+
+
+def within(got, want, tol=BLOCH_TOL) -> bool:
+    return np.shape(got) == np.shape(want) and float(np.max(np.abs(got - want))) <= tol
+
+
+@given(seed=seeds, x_dirs=direction_pairs, y_dirs=direction_pairs)
+@settings(max_examples=100, deadline=None)
+def test_state_routes_are_the_einsums(seed, x_dirs, y_dirs):
+    state = random_mixed_state(seed)
+    behavior = behavior_from_quantum(state, x_dirs, y_dirs).probabilities
+    assert within(behavior, einsum_behavior_from_quantum(state, x_dirs, y_dirs))
+    asm = assemblage_from_state(state, x_dirs)
+    sigma = einsum_assemblage_from_state(state, x_dirs)
+    assert within(asm._sigma, sigma)
+    assert within(behavior_from_assemblage(asm, y_dirs).probabilities, einsum_born(y_dirs, sigma))
+
+
+@given(
+    seed=seeds,
+    n=st.integers(1, 16),
+    bob_dirs=direction_pairs,
+    weights=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+@settings(max_examples=100, deadline=None)
+def test_model_routes_are_the_einsums(seed, n, bob_dirs, weights):
+    model = random_mdlhs_model(seed % 2**32, n_lambdas=n)
+    lhs = assemblage_from_mdlhs(model)
+    sigma = einsum_mdlhs_stack(model)
+    assert within(lhs._sigma, sigma)
+    check = mdlhv_decomposition_check(model, bob_dirs)
+    assert 0.0 <= check <= BLOCH_TOL
+    assert abs(check - einsum_decomposition_check(model, bob_dirs)) <= BLOCH_TOL
+    # A mixture with one eta per setting keeps each setting's traces summing to 1.
+    steerable = assemblage_from_state(random_mixed_state(seed), bob_dirs)
+    w = np.repeat(weights, 2).reshape(2, 2, 1, 1)
+    eta = {(a, x): weights[ix] for ix, x in enumerate(SETTINGS) for a in OUTCOMES}
+    mixed = mix_assemblages(steerable, lhs, eta)
+    assert within(mixed._sigma, (1.0 - w) * steerable._sigma + w * sigma)
+
+
+def check_pure_state_coefficients(theta: float) -> None:
+    # rho = sum_ij C[i, j] sigma_i (x) sigma_j / 4: unit trace, both marginals cos 2 theta along
+    # z, and the block T = diag(-sin 2 theta, sin 2 theta, 1) of quantum_value's closed form.
+    c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
+    want = np.diag([1.0, -s, s, 1.0])
+    want[0, 3] = want[3, 0] = c
+    assert within(linalg.pauli_coefficients(pure_state(theta)), want)
+
+
+@pytest.mark.parametrize("theta", PURE_THETAS)
+def test_pure_state_coefficients_are_the_closed_form(theta):
+    check_pure_state_coefficients(theta)
+
+
+@given(theta=st.floats(0.0, math.pi / 2))
+@settings(max_examples=100, deadline=None)
+def test_pure_state_coefficients_are_the_closed_form_on_draws(theta):
+    check_pure_state_coefficients(theta)
 
 
 # ------------------------------------------------ plain-float routes against numpy
@@ -513,9 +615,7 @@ def test_constraint_report_is_the_array_route(theta, phi, delta):
 
 def reference_phi_plus(x_dirs, y_dirs):
     """behavior_from_quantum's einsum on bell_phi_plus, clipped at 0."""
-    rho = bell_phi_plus().density.reshape(2, 2, 2, 2)
-    p = np.einsum("xaij,ybkl,jlik->xyab", projectors(x_dirs), projectors(y_dirs), rho)
-    return np.maximum(p.real, 0.0)
+    return einsum_behavior_from_quantum(bell_phi_plus(), x_dirs, y_dirs)
 
 
 def reference_tilted(delta):

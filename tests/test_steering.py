@@ -9,7 +9,7 @@ from conftest import random_mdlhs_model
 from mdsteer.behaviors import OUTCOMES, Behavior, correlators, pr_box
 from mdsteer.inequality import local_bound, md_operator
 from mdsteer.kernel import Direction, ValidationError
-from mdsteer.linalg import TwoQubitState, bell_phi_plus, projectors, pure_state
+from mdsteer.linalg import TwoQubitState, bell_phi_plus, projector_rows, pure_state
 from mdsteer.steering import (
     SETTINGS,
     Assemblage,
@@ -177,16 +177,18 @@ class TestDecompositionCheck:
         assert mdlhv_decomposition_check(model, random_directions(rng, 2)) <= 1e-12
 
     def test_equals_the_route_through_validated_objects(self):
-        # The check's reference: its two routes through an Assemblage and a Behavior.
+        # The check's assemblage route is the one through an Assemblage and a Behavior, bit for
+        # bit; its hidden-variable sum is sum_lambda w[x][a][lambda] (v_lambda|x . q_yb) over
+        # the states' Bloch rows v and Bob's projector rows q. tests/test_contractions.py checks
+        # both routes against the complex contractions.
         rng = np.random.default_rng(2024)
         for seed in range(200):
             model = random_mdlhs_model(seed, n_lambdas=int(rng.integers(1, 17)))
             dirs = random_directions(rng, 2)
             via = behavior_from_assemblage(assemblage_from_mdlhs(model), dirs).probabilities
-            direct = np.einsum(
-                "xn,xna,ybkl,nxlk->xyab",
-                model.p_lambda_given_x, model.p_a_given_x_lambda, projectors(dirs), model.states,
-            ).real
+            w = model.p_a_given_x_lambda.transpose(0, 2, 1) * model.p_lambda_given_x[:, None, :]
+            born = model._bloch @ projector_rows(dirs).T  # [x][lambda][yb]
+            direct = (w @ born).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
             expected = float(np.max(np.abs(via - direct)))
             assert mdlhv_decomposition_check(model, dirs) == expected, seed
 

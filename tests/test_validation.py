@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +22,9 @@ from mdsteer.kernel import (
     require_distribution,
     require_interval,
 )
+from mdsteer.linalg import TwoQubitState, is_psd
 from mdsteer.oracle import ExtremalStrategy
-from mdsteer.steering import MdLhsModel, md_weight, weight_limit_values
+from mdsteer.steering import Assemblage, MdLhsModel, md_weight, weight_limit_values
 from mdsteer.table import read_table
 
 NAN, INF = math.nan, math.inf
@@ -168,3 +171,90 @@ def test_behavior_json_that_is_no_object(case):
 def test_count_takes_only_integers(value):
     with pytest.raises(ValidationError, match="must be an integer >= 0"):
         require_count("n", value)
+
+
+def quarter_elements():
+    return {(a, x): np.eye(2, dtype=complex) / 4 for a in (+1, -1) for x in (1, 2)}
+
+
+# Each builder gets an array whose one entry at [1, 0] (a below-diagonal entry) or [0, 0] is
+# value, and raises the message it raises for any other element that fails its check.
+def assemblage_from_dict(value, entry):
+    elements = quarter_elements()
+    elements[(-1, 2)] = elements[(-1, 2)].copy()
+    elements[(-1, 2)][entry] = value
+    return Assemblage(elements)
+
+
+def assemblage_from_stack(value, entry):
+    stack = np.broadcast_to(np.eye(2, dtype=complex) / 4, (2, 2, 2, 2)).copy()
+    stack[1, 1][entry] = value
+    return Assemblage(stack)
+
+
+def model_with_state(value, entry):
+    states = MIXED.copy()
+    states[1, 0][entry] = value
+    return MdLhsModel(np.full((2, 2), 0.5), np.full((2, 2, 2), 0.5), states)
+
+
+NON_FINITE_ARRAYS = {
+    "Assemblage(dict)": (assemblage_from_dict, "element (a=-1, x=2) is not PSD"),
+    "Assemblage(stack)": (assemblage_from_stack, "element (a=-1, x=2) is not PSD"),
+    "MdLhsModel": (model_with_state, "states[1][0] is not a valid density matrix"),
+}
+
+
+class TestNonFiniteArrays:
+    """NaN and +/-inf entries are refused with the usual message, and no numpy warning."""
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 0), (0, 1)])
+    @pytest.mark.parametrize("value", [NAN, INF, -INF, complex(0.25, INF), complex(NAN, 0.0)])
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_ARRAYS))
+    def test_refused_without_warnings(self, case, value, entry):
+        build, message = NON_FINITE_ARRAYS[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                build(value, entry)
+
+    @pytest.mark.parametrize("value", [NAN, INF, -INF])
+    def test_is_psd_fails_without_warnings(self, value):
+        stack = np.broadcast_to(np.eye(2, dtype=complex) / 2, (3, 2, 2)).copy()
+        stack[1, 1, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_psd(stack).tolist() == [True, False, True]
+            assert is_psd(stack[1]) is False
+
+
+# An array of each non-numeric kind that numpy would otherwise cast to numbers, or try to.
+NON_NUMERIC = {
+    "str": lambda shape: np.full(shape, "0.25"),
+    "bool": lambda shape: np.ones(shape, dtype=bool),
+    "object": lambda shape: np.full(shape, 0.25, dtype=object),
+}
+
+ARRAY_TYPES = {
+    "Behavior": lambda arr: Behavior(arr((2, 2, 2, 2))),
+    "TwoQubitState": lambda arr: TwoQubitState(arr((4, 4))),
+    "Assemblage(stack)": lambda arr: Assemblage(arr((2, 2, 2, 2))),
+    "Assemblage(dict)": lambda arr: Assemblage({**quarter_elements(), (1, 1): arr((2, 2))}),
+    "MdLhsModel p_lambda_given_x": lambda arr: MdLhsModel(
+        arr((2, 2)), np.full((2, 2, 2), 0.5), MIXED),
+    "MdLhsModel p_a_given_x_lambda": lambda arr: MdLhsModel(
+        np.full((2, 2), 0.5), arr((2, 2, 2)), MIXED),
+    "MdLhsModel states": lambda arr: MdLhsModel(
+        np.full((2, 2), 0.5), np.full((2, 2, 2), 0.5), arr((2, 2, 2, 2))),
+    "is_psd": lambda arr: is_psd(arr((2, 2))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_NUMERIC))
+@pytest.mark.parametrize("target", sorted(ARRAY_TYPES))
+def test_non_numeric_array_refused(target, kind):
+    arr = NON_NUMERIC[kind]
+    dtype = arr(()).dtype
+    message = f"^expected an array of numbers, got dtype {re.escape(str(dtype))}$"
+    with pytest.raises(ValidationError, match=message):
+        ARRAY_TYPES[target](arr)
