@@ -33,6 +33,7 @@ from .linalg import (  # noqa: F401
     OUTCOME_SIGNS,
     TwoQubitState,
     bell_phi_plus,
+    born,
     pauli_coefficients,
     projector,
     projector_rows,
@@ -76,14 +77,13 @@ def behavior_from_quantum(
 ) -> Behavior:
     """Projective-measurement behavior p(ab|xy) = Tr[(P_a^x (x) P_b^y) rho].
 
-    In Bloch rows: N C M^T / 4 for the Bloch rows N and M of the parties' projectors and the
-    state's pauli_coefficients C, taken as Q C R^T with the projector_rows Q = N/2 and
-    R = M/2; clipped at 0.
+    linalg.born on the Bloch rows Q C of Bob's states after Alice's outcomes, for her
+    projector_rows Q and the state's pauli_coefficients C, and Bob's projector_rows.
     """
     if len(x_dirs) != 2 or len(y_dirs) != 2:
         raise ValidationError("exactly two measurement directions per party required")
-    p = projector_rows(x_dirs) @ pauli_coefficients(state) @ projector_rows(y_dirs).T
-    return Behavior(np.maximum(p.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3), 0.0))
+    rows = projector_rows(x_dirs) @ pauli_coefficients(state)
+    return Behavior(born(rows, projector_rows(y_dirs)))
 
 
 def correlators(b: Behavior) -> CorrelatorVector:

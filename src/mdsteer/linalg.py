@@ -8,13 +8,13 @@ arrays; the validation on top of them comes from ``kernel``.
 
 The Born rules run in Pauli coordinates, with sigma_0 = I. A qubit operator
 A is its Bloch row v_j = Tr[A sigma_j], so A = (t I + x sigma_x + y sigma_y +
-z sigma_z)/2 for v = (t, x, y, z): its trace is t, and it is PSD exactly when
-|(x, y, z)| <= t. A projector (I +/- n . sigma)/2 is its coefficient row
-q = (1, +/-n)/2 (``projector_rows``), so Tr[P A] = q . v; a two-qubit state
-is its real 4x4 ``pauli_coefficients`` C[i, j] = Tr[rho sigma_i (x) sigma_j].
-``bloch_screen`` reads complex 2x2 input as Bloch rows with its PSD verdicts.
-``projectors`` and ``tensor`` build the complex matrices that the reference
-definitions use; no Born rule goes through them.
+z sigma_z)/2 for v = (t, x, y, z), with trace t. A projector is its
+coefficient row (``projector_rows``) and a two-qubit state its real 4x4
+``pauli_coefficients``. Bob's Born rule on Bloch rows is ``born`` and the
+qubit PSD test is ``bloch_psd``: every behavior and every PSD verdict of the
+package goes through them, and ``bloch_screen`` reads complex 2x2 input as
+Bloch rows for them. ``projectors`` and ``tensor`` build the complex matrices
+that the reference definitions use; no Born rule goes through them.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ def _verdict(ok: np.ndarray) -> bool | np.ndarray:
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def is_hermitian(m: np.ndarray, tol: float = TOL.eq) -> bool | np.ndarray:
-    """Whether m equals its conjugate transpose within tol.
+def is_hermitian(m: np.ndarray) -> bool | np.ndarray:
+    """Whether m equals its conjugate transpose within TOL.eq.
 
     m is one matrix (returns a bool) or a stack (..., n, n) (returns one bool
     per matrix); non-square input, 0-D and 1-D arrays included, is never Hermitian.
@@ -61,37 +61,58 @@ def is_hermitian(m: np.ndarray, tol: float = TOL.eq) -> bool | np.ndarray:
         return False
     if m.shape[-1] != m.shape[-2]:
         return _verdict(np.zeros(m.shape[:-2], dtype=bool))
-    return _verdict(np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= tol)
+    return _verdict(np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= TOL.eq)
+
+
+def bloch_psd(rows: Sequence[Sequence[float]]) -> list:
+    """Whether each Bloch row (t, x, y, z) is PSD, one bool per row: t - hypot(x, y, z) >=
+    -2 TOL.psd, its operator's smallest eigenvalue (t - |(x, y, z)|)/2 >= -TOL.psd. The rows
+    are Python floats, such as an (n, 4) array's tolist(): on a few rows numpy costs more."""
+    slack = -2.0 * TOL.psd
+    return [t - math.hypot(x, y, z) >= slack for t, x, y, z in rows]
+
+
+def xyab(p: np.ndarray) -> np.ndarray:
+    """The 16 Born values p[xa, yb], rows in Alice's (setting, outcome) order and columns in
+    Bob's (in any shape with those 16 entries in C order), as the view p[x][y][a][b]."""
+    return p.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+
+
+def born(rows: np.ndarray, bob_rows: np.ndarray) -> np.ndarray:
+    """Bob's Born rule p[x][y][a][b] = Tr[P_b^y sigma_{a|x}] = q . v, clipped at 0, for the
+    Bloch row v = rows[xa] of Bob's unnormalized state after Alice's outcome a of setting x
+    and the projector_rows q = bob_rows[yb] of his measurements; one (4, 4) matmul."""
+    return np.maximum(xyab(rows @ bob_rows.T), 0.0)
 
 
 # The linear part of the 2x2 screen. A row per float of [[a, b], [c, d]]. The columns are the
-# Bloch row (t, x, y, z) = (Re a + Re d, 2 Re c, 2 Im c, Re a - Re d) of the lower triangle;
-# four (re, im) pairs, b - conj(c), 2 Im a + 0j, 2 Im d + 0j and c; then (Re a - Re d)/2 and
-# (Re a + Re d)/2. A column sums at most two nonzero terms with weights +/-1, +/-1/2 or 2, so
-# it rounds once, as the formula written out does.
+# Bloch row (t, x, y, z) = (Re a + Re d, 2 Re c, 2 Im c, Re a - Re d) of the lower triangle,
+# then three (re, im) pairs, b - conj(c), 2 Im a + 0j and 2 Im d + 0j. A column sums at most
+# two nonzero terms with weights +/-1 or 2, so it rounds once, as the formula written out does.
 _SCREEN_2X2 = np.array(
     [
-        [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0.5, 0.5],  # Re a
-        [0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0.0, 0.0],  # Im a
-        [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0.0, 0.0],  # Re b
-        [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0.0, 0.0],  # Im b
-        [0, 2, 0, 0, -1, 0, 0, 0, 0, 0, 1, 0, 0.0, 0.0],  # Re c
-        [0, 0, 2, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0.0, 0.0],  # Im c
-        [1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, -0.5, 0.5],  # Re d
-        [0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0.0, 0.0],  # Im d
+        [1, 0, 0, 1, 0, 0, 0, 0, 0, 0],  # Re a
+        [0, 0, 0, 0, 0, 0, 2, 0, 0, 0],  # Im a
+        [0, 0, 0, 0, 1, 0, 0, 0, 0, 0],  # Re b
+        [0, 0, 0, 0, 0, 1, 0, 0, 0, 0],  # Im b
+        [0, 2, 0, 0, -1, 0, 0, 0, 0, 0],  # Re c
+        [0, 0, 2, 0, 0, 1, 0, 0, 0, 0],  # Im c
+        [1, 0, 0, -1, 0, 0, 0, 0, 0, 0],  # Re d
+        [0, 0, 0, 0, 0, 0, 0, 0, 2, 0],  # Im d
     ]
 )
 
 
-def bloch_screen(m: np.ndarray, tol: float = TOL.psd) -> Tuple[np.ndarray, np.ndarray]:
-    """(Bloch rows, PSD verdicts) of a C-ordered complex stack m (..., 2, 2), in one matmul.
+def bloch_screen(m: np.ndarray) -> Tuple[np.ndarray, list]:
+    """(Bloch rows, PSD verdicts) of a C-ordered complex stack m (..., 2, 2): the rows
+    (..., 4) from one matmul, the verdicts one bool per matrix, in C order.
 
     A matrix [[a, b], [c, d]] is read as its lower triangle, as eigvalsh reads it: its Bloch
     row is (t, x, y, z) = (Re a + Re d, 2 Re c, 2 Im c, Re a - Re d). It is PSD when its
     Hermitian deviation max(|2 Im a|, |2 Im d|, |b - conj(c)|), is_hermitian's value bit for
-    bit, is <= max(tol, TOL.eq) and its smallest eigenvalue (Re a + Re d)/2 -
-    hypot((Re a - Re d)/2, |c|) is >= -tol. A matrix with a NaN or an infinite entry is
-    screened as the zero matrix and fails, so no operation sees the entry and none warns.
+    bit, is <= max(TOL.psd, TOL.eq) and bloch_psd passes its row. A matrix with a NaN or an
+    infinite entry is screened as the zero matrix and fails, so no operation sees the entry
+    and none warns.
     """
     entries = m.reshape(m.shape[:-2] + (4,)).view(float)
     finite = None
@@ -99,26 +120,24 @@ def bloch_screen(m: np.ndarray, tol: float = TOL.psd) -> Tuple[np.ndarray, np.nd
         finite = np.isfinite(entries).all(axis=-1)
         entries = np.where(finite[..., None], entries, 0.0)
     lin = entries @ _SCREEN_2X2
-    mods = np.abs(lin[..., 4:12].view(complex))
-    smallest = lin[..., 13] - np.hypot(lin[..., 12], mods[..., 3])
-    psd = (mods[..., :3].max(axis=-1) <= max(tol, TOL.eq)) & (smallest >= -tol)
-    return lin[..., :4], psd if finite is None else psd & finite
+    gate = np.abs(lin[..., 4:].view(complex)).max(axis=-1) <= max(TOL.psd, TOL.eq)
+    if finite is not None:
+        gate &= finite
+    rows = lin[..., :4]
+    psd = bloch_psd(rows.reshape(-1, 4).tolist())
+    return rows, [hermitian and ok for hermitian, ok in zip(gate.ravel().tolist(), psd)]
 
 
-def is_psd(m: np.ndarray, tol: float = TOL.psd) -> bool | np.ndarray:
-    """Whether m is Hermitian with smallest eigenvalue >= -tol: one bool for one 2x2
-    matrix, one per matrix for a stack (..., 2, 2); any other shape, and any array
-    that does not hold numbers, is a ValidationError.
-
-    Each matrix is screened in closed form by bloch_screen, with a few ufunc calls over
-    the whole stack: its Hermitian deviation, the value is_hermitian computes, gates
-    the smallest eigenvalue of its lower triangle. A matrix with a NaN or an infinite
-    entry fails, without a warning.
+def is_psd(m: np.ndarray) -> bool | np.ndarray:
+    """bloch_screen's verdict: one bool for one 2x2 matrix, one per matrix for a stack
+    (..., 2, 2); any other shape, and any array that does not hold numbers, is a
+    ValidationError. A matrix with a NaN or an infinite entry fails, without a warning.
     """
     m = np.asarray(numeric_array(m), dtype=complex)
     if m.shape[-2:] != (2, 2):
         raise ValidationError(f"is_psd takes 2x2 matrices, got shape {m.shape}")
-    return _verdict(bloch_screen(np.ascontiguousarray(m), tol)[1])
+    psd = bloch_screen(np.ascontiguousarray(m))[1]
+    return _verdict(np.array(psd, dtype=bool).reshape(m.shape[:-2]))
 
 
 def pauli_observable(n: Direction) -> np.ndarray:
@@ -147,8 +166,7 @@ def pauli_matrices(coeffs: np.ndarray) -> np.ndarray:
 def projector_rows(dirs: Sequence[Direction]) -> np.ndarray:
     """Coefficient rows q = (1, +/-n)/2 of the projectors (I +/- n . sigma)/2 = sum_j q_j
     sigma_j, one per (direction, outcome) in OUTCOMES order: row 2 s + k for dirs[s] and
-    OUTCOMES[k]. They are half the projectors' Bloch rows (1, +/-n), so Bob's Born rule on
-    an operator with Bloch row v is the dot product Tr[P A] = q . v."""
+    OUTCOMES[k]: half the projectors' Bloch rows (1, +/-n), as born takes them."""
     rows = []
     for n in dirs:
         x, y, z = 0.5 * n.nx, 0.5 * n.ny, 0.5 * n.nz
@@ -180,6 +198,8 @@ class TwoQubitState:
         rho = frozen_copy(self.density, complex)
         if rho.shape != (4, 4):
             raise ValidationError(f"density must be 4x4, got shape {rho.shape}")
+        if not np.isfinite(rho).all():
+            raise ValidationError("density matrix must be finite")
         if not is_hermitian(rho):
             raise ValidationError("density matrix is not Hermitian")
         trace = np.trace(rho).real
@@ -195,22 +215,15 @@ def pure_state(theta: float) -> TwoQubitState:
 
     theta must lie in [0, pi/2]; theta = pi/4 is maximally entangled.
 
-    The one construction here that skips TwoQubitState.__post_init__. The density
-    np.outer(psi, psi*) is Hermitian as built, and its one nonzero block, on |00>, |11>,
-    is [[cc, cs], [cs, ss]], so the trace and smallest-eigenvalue checks run on that
-    block in closed form, as _is_psd_2x2 does, with the general path's messages.
+    The one construction here that skips TwoQubitState.__post_init__: the density
+    np.outer(psi, psi*) is Hermitian as built, its one nonzero block, on |00>, |11>, has
+    rank one, and its trace cos^2 + sin^2 is within a few ulps of 1, so no check could fail.
     """
     require_interval("theta", theta, RIGHT_ANGLE)
-    c, s = math.cos(theta), -math.sin(theta)
     psi = np.zeros(4, dtype=complex)
-    psi[0] = c
-    psi[3] = s
+    psi[0] = math.cos(theta)
+    psi[3] = -math.sin(theta)
     rho = np.outer(psi, psi.conj())
-    cc, ss, cs = c * c, s * s, c * s  # rho[0, 0], rho[3, 3], rho[0, 3], bit for bit
-    if unnormalized(cc + ss):
-        raise ValidationError(f"density trace is {cc + ss}, expected 1")
-    if (cc + ss) / 2 - math.hypot((cc - ss) / 2, cs) < -TOL.psd:
-        raise ValidationError("density matrix is not positive semidefinite")
     rho.setflags(write=False)
     state = object.__new__(TwoQubitState)
     object.__setattr__(state, "density", rho)
@@ -235,10 +248,9 @@ def pauli_coefficients(state: TwoQubitState) -> np.ndarray:
     """C[i, j] = Tr[rho sigma_i (x) sigma_j], with sigma_0 = I, as a real 4x4 array.
 
     rho = sum_ij C[i, j] sigma_i (x) sigma_j / 4: C[0, 0] = 1, row 0 holds Bob's Bloch
-    vector, column 0 Alice's and C[1:, 1:] the correlation matrix. With the projector_rows
-    Q and R of the two parties (half their Bloch rows N and M), p(ab|xy) = (Q C R^T)[xa, yb],
-    N C M^T / 4, and Bob's unnormalized state after Alice's outcome a of setting x has the
-    Bloch row (Q C)[xa], N C / 2.
+    vector, column 0 Alice's and C[1:, 1:] the correlation matrix. With Alice's
+    projector_rows Q, Bob's unnormalized state after her outcome a of setting x has the Bloch
+    row (Q C)[xa], which born takes.
     """
     return (state.density.reshape(16).view(float) @ _PAIR_BASIS).reshape(4, 4)
 

@@ -9,20 +9,19 @@ values, and the steerability bound on that weight.
 
 Every operator here is held as its Bloch row (t, x, y, z), sigma = (t I +
 x sigma_x + y sigma_y + z sigma_z)/2 (see ``linalg``), and every producer is a
-real matmul of such rows. With N and M the Bloch rows (1, +/-n) of Alice's and
-Bob's projectors and C the state's ``pauli_coefficients``:
+real matmul of such rows. With N the Bloch rows (1, +/-n) of Alice's
+projectors and C the state's ``pauli_coefficients``:
   assemblage_from_state      V = N C / 2
-  behavior_from_assemblage   p = V M^T / 2
   assemblage_from_mdlhs      V[x][a] = sum_lambda p(lambda|x) p(a|x,lambda) v_{lambda|x}
   mix_assemblages            V = (1 - eta) V_steerable + eta V_mdlhs
-A producer's rows are checked as rows: t - |(x, y, z)| >= -2 TOL.psd and each
-setting's traces t summing to 1. An assemblage given as complex matrices, and
-an MD-LHS model's complex states, are read through ``linalg.bloch_screen``.
+and behavior_from_assemblage is ``linalg.born`` on V. One PSD criterion,
+``linalg.bloch_psd``, checks every row: a producer's rows directly, an
+assemblage given as complex matrices and an MD-LHS model's complex states
+through ``linalg.bloch_screen``; each setting's traces t must sum to 1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
@@ -34,7 +33,6 @@ from .kernel import (
     OPEN_UNIT,
     OUTCOMES,
     POSITIVE,
-    TOL,
     UNIT,
     Direction,
     Interval,
@@ -50,7 +48,9 @@ from .kernel import (
 # perfbench/tracing.py looks them up in this module by name.
 from .linalg import (  # noqa: F401
     TwoQubitState,
+    bloch_psd,
     bloch_screen,
+    born,
     is_psd,
     partial_trace_alice,
     pauli_coefficients,
@@ -58,6 +58,7 @@ from .linalg import (  # noqa: F401
     projector,
     projector_rows,
     tensor,
+    xyab,
 )
 
 SETTINGS = (1, 2)
@@ -67,9 +68,6 @@ AssemblageKey = Tuple[int, int]  # (a, x) with a in {+1,-1}, x in {1,2}
 
 # Key (a, x) of each matrix of a stack sigma[x][a], in flat order: the one map between the two.
 _KEYS = tuple((a, x) for x in SETTINGS for a in OUTCOMES)
-
-# A Bloch row (t, r) is PSD when its smallest eigenvalue (t - |r|)/2 is >= -TOL.psd.
-_PSD_SLACK = 2.0 * TOL.psd
 
 
 def _keyed(sigma: np.ndarray) -> Dict[AssemblageKey, np.ndarray]:
@@ -100,14 +98,14 @@ class Assemblage:
     a read-only stack; ``elements`` holds views of it. Every element is also held as its
     Bloch row (t, x, y, z), sigma = (t I + x sigma_x + y sigma_y + z sigma_z)/2, in the
     read-only (4, 4) array ``_bloch`` in _KEYS order, which the Born rule and mixtures read.
-    Invariants: every element is PSD and each setting's traces sum to 1. Compared by identity.
+    Invariants: every element is PSD by linalg.bloch_psd and each setting's traces sum to 1.
+    Compared by identity.
 
     The producers build an Assemblage from Bloch rows (``_from_bloch``): the rows are checked
-    by t - |r| >= -2 TOL.psd and their trace sums, and the stack is derived from them.
+    as rows and the stack is derived from them.
     """
 
     elements: Dict[AssemblageKey, np.ndarray] | np.ndarray
-    _sigma: np.ndarray = field(init=False, repr=False)
     _bloch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -125,9 +123,8 @@ class Assemblage:
                     raise ValidationError(f"element (a={a}, x={x}) must be 2x2")
             flat = frozen_copy([self.elements[k] for k in _KEYS], complex)
         rows, psd = bloch_screen(flat)
-        _check(psd.tolist(), rows[:, 0].tolist())
+        _check(psd, rows[:, 0].tolist())
         object.__setattr__(self, "elements", _keyed(flat))
-        object.__setattr__(self, "_sigma", flat.reshape(2, 2, 2, 2))
         object.__setattr__(self, "_bloch", _read_only(rows))
 
     @classmethod
@@ -135,14 +132,10 @@ class Assemblage:
         """The assemblage of Bloch rows (4, 4) in _KEYS order, checked as rows; it keeps the
         array it is given, made read-only."""
         flat = rows.tolist()
-        _check(
-            [t - math.hypot(x, y, z) >= -_PSD_SLACK for t, x, y, z in flat],
-            [row[0] for row in flat],
-        )
-        sigma = _read_only(pauli_matrices(0.5 * rows).reshape(2, 2, 2, 2))
+        _check(bloch_psd(flat), [row[0] for row in flat])
+        sigma = _read_only(pauli_matrices(0.5 * rows))
         asm = object.__new__(cls)
         object.__setattr__(asm, "elements", _keyed(sigma))
-        object.__setattr__(asm, "_sigma", sigma)
         object.__setattr__(asm, "_bloch", _read_only(rows))
         return asm
 
@@ -185,17 +178,13 @@ class MdLhsModel:
         require_distribution("p(a|x,lambda)", pax.ravel().tolist(), pax.shape, 2)
         rows, psd = bloch_screen(states)
         # The first fault in (lambda, x) order, from one verdict and one trace per state.
-        for i, (ok, trace) in enumerate(zip(psd.ravel().tolist(), rows[..., 0].ravel().tolist())):
+        for i, (ok, trace) in enumerate(zip(psd, rows[..., 0].ravel().tolist())):
             if not ok or unnormalized(trace):
                 raise ValidationError(f"states[{i // 2}][{i % 2}] is not a valid density matrix")
         object.__setattr__(self, "p_lambda_given_x", plx)
         object.__setattr__(self, "p_a_given_x_lambda", pax)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "_bloch", _read_only(rows.transpose(1, 0, 2)))
-
-    @property
-    def n_lambdas(self) -> int:
-        return self.p_lambda_given_x.shape[1]
 
 
 def _require_eta(eta: Dict[AssemblageKey, float], domain: Interval) -> None:
@@ -212,12 +201,6 @@ def _require_two(dirs: Sequence[Direction], party: str) -> None:
 def _weights(model: MdLhsModel) -> np.ndarray:
     """w[x][a][lambda] = p(lambda|x) p(a|x,lambda)."""
     return model.p_a_given_x_lambda.transpose(0, 2, 1) * model.p_lambda_given_x[:, None, :]
-
-
-def _born(rows: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    """p[x][y][a][b] = Tr[P_b^y sigma_{a|x}] = q . v for the Bloch row v = rows[xa] of the
-    element and Bob's projector row q = bob[yb], clipped at 0."""
-    return np.maximum((rows @ bob.T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3), 0.0)
 
 
 def assemblage_from_state(state: TwoQubitState, alice_dirs: Sequence[Direction]) -> Assemblage:
@@ -239,13 +222,10 @@ def assemblage_from_mdlhs(model: MdLhsModel) -> Assemblage:
 
 
 def behavior_from_assemblage(asm: Assemblage, bob_dirs: Sequence[Direction]) -> Behavior:
-    """p(ab|xy) = Tr[P_b^y sigma_{a|x}] for Bob's projective measurements.
-
-    In Bloch rows: V M^T / 2 for the assemblage's rows V and the Bloch rows M of Bob's
-    projectors, taken as V R^T with his projector_rows R = M/2.
-    """
+    """p(ab|xy) = Tr[P_b^y sigma_{a|x}] for Bob's projective measurements: linalg.born on
+    the assemblage's Bloch rows and Bob's projector_rows."""
     _require_two(bob_dirs, "Bob")
-    return Behavior(_born(asm._bloch, projector_rows(bob_dirs)))
+    return Behavior(born(asm._bloch, projector_rows(bob_dirs)))
 
 
 def mdlhv_decomposition_check(model: MdLhsModel, bob_dirs: Sequence[Direction]) -> float:
@@ -257,8 +237,8 @@ def mdlhv_decomposition_check(model: MdLhsModel, bob_dirs: Sequence[Direction]) 
     """
     _require_two(bob_dirs, "Bob")
     bob, w = projector_rows(bob_dirs), _weights(model)
-    via = _born((w @ model._bloch).reshape(4, 4), bob)
-    direct = (w @ (model._bloch @ bob.T)).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    via = born((w @ model._bloch).reshape(4, 4), bob)
+    direct = xyab(w @ (model._bloch @ bob.T))
     return float(np.max(np.abs(via - direct)))
 
 

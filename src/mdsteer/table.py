@@ -108,8 +108,9 @@ def _phi_plus_table(x_dirs, y_dirs) -> Table:
     """p(ab|xy) = Tr[(P_a^x (x) P_b^y) rho] on (|00> + |11>)/sqrt(2), directions in the x-z plane.
 
     Only the |00>, |11> block of rho is nonzero, so each entry is
-    sum_ij P_a^x[i, j] P_b^y[i, j] rho_00,00, added to 0.0 in i-major order as
-    behavior_from_quantum's einsum adds them, then clipped at 0.
+    sum_ij P_a^x[i, j] P_b^y[i, j] rho_00,00, added to 0.0 in i-major order as the complex
+    einsum tests/test_contractions.py::einsum_behavior_from_quantum adds them, then clipped
+    at 0.
     """
     t = []
     for x in x_dirs:

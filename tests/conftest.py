@@ -5,9 +5,9 @@ import math
 import numpy as np
 
 from mdsteer.behaviors import Behavior, CorrelatorVector, correlators
-from mdsteer.kernel import Direction, ValidationError
+from mdsteer.kernel import OUTCOMES, Direction, ValidationError
 from mdsteer.oracle import ExtremalStrategy, extremal_correlators
-from mdsteer.steering import MdLhsModel
+from mdsteer.steering import SETTINGS, MdLhsModel
 
 
 def spherical(azimuth: float, polar: float) -> Direction:
@@ -17,6 +17,11 @@ def spherical(azimuth: float, polar: float) -> Direction:
         math.sin(polar) * math.sin(azimuth),
         math.cos(polar),
     )
+
+
+def assemblage_stack(asm) -> np.ndarray:
+    """An assemblage's elements as one stack sigma[x][a] of shape (2, 2, 2, 2)."""
+    return np.array([[asm.elements[(a, x)] for a in OUTCOMES] for x in SETTINGS])
 
 
 def random_mdlhs_model(seed: int, n_lambdas: int = 4) -> MdLhsModel:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mdsteer import linalg
 from mdsteer.kernel import TOL, Direction, Tolerances, ValidationError, require_finite
 from mdsteer.linalg import (
     TwoQubitState,
@@ -170,6 +171,21 @@ class TestTwoQubitState:
         with pytest.raises(ValidationError):
             TwoQubitState(bad)
 
+    @pytest.mark.parametrize(
+        "entry, bad",
+        [((0, 0), np.inf), ((0, 0), -np.inf), ((3, 3), np.nan), ((1, 2), np.nan),
+         ((0, 0), 1j * np.inf), ((2, 2), complex(0.0, -np.inf)), ((0, 3), np.inf),
+         ((2, 1), -np.inf)],
+    )
+    def test_non_finite_density_refused_by_name(self, entry, bad):
+        # On the diagonal a real infinity would make is_hermitian's m - m^H warn (inf - inf).
+        rho = pure_state(0.3).density.copy()
+        rho[entry] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^density matrix must be finite$"):
+                TwoQubitState(rho)
+
 
 class TestTolerancesFromEnv:
     def test_override_applies_to_every_tolerance(self, monkeypatch):
@@ -259,16 +275,18 @@ class TestStackedChecks:
         assert [reference_is_psd(m) for m in stack] == expected
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_2x2_deviation_is_is_hermitians_bit_for_bit(self, seed):
-        # With tol at the exact deviation the matrix passes, one ulp below it fails; an
+    def test_2x2_deviation_is_is_hermitians_bit_for_bit(self, seed, monkeypatch):
+        # With TOL.psd at the exact deviation the matrix passes, one ulp below it fails; an
         # imaginary diagonal part counts twice, as in m - m^H.
         rng = np.random.default_rng(seed)
         for _ in range(50):
             m = np.diag(rng.uniform(0.5, 1.0, 2)).astype(complex)
             m += 1e-3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             dev = float(np.abs(m - m.conj().T).max())
-            assert is_psd(m, tol=dev) is True
-            assert is_psd(m, tol=math.nextafter(dev, 0.0)) is False
+            monkeypatch.setattr(linalg, "TOL", Tolerances(psd=dev))
+            assert is_psd(m) is True
+            monkeypatch.setattr(linalg, "TOL", Tolerances(psd=math.nextafter(dev, 0.0)))
+            assert is_psd(m) is False
 
     def test_2x2_reads_the_lower_triangle_gated_by_hermiticity(self):
         lower_psd = np.array([[1.0, 5.0], [0.5, 1.0]], dtype=complex)  # lower triangle PSD

@@ -4,12 +4,20 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_mdlhs_model
+from conftest import assemblage_stack, random_mdlhs_model
 
 from mdsteer.behaviors import OUTCOMES, Behavior, correlators, pr_box
 from mdsteer.inequality import local_bound, md_operator
-from mdsteer.kernel import Direction, ValidationError
-from mdsteer.linalg import TwoQubitState, bell_phi_plus, projector_rows, pure_state
+from mdsteer.kernel import TOL, Direction, ValidationError
+from mdsteer.linalg import (
+    TwoQubitState,
+    bell_phi_plus,
+    bloch_psd,
+    is_psd,
+    pauli_matrices,
+    projector_rows,
+    pure_state,
+)
 from mdsteer.steering import (
     SETTINGS,
     Assemblage,
@@ -104,9 +112,9 @@ class TestAssemblageFromMdlhs:
         model = random_mdlhs_model(7)
         first, second = assemblage_from_mdlhs(model), assemblage_from_mdlhs(model)
         assert first is not second
-        assert np.array_equal(first._sigma, second._sigma)
+        assert np.array_equal(assemblage_stack(first), assemblage_stack(second))
         for asm in (first, second):
-            for a in [asm._sigma, *asm.elements.values()]:
+            for a in asm.elements.values():
                 with pytest.raises(ValueError, match="read-only"):
                     a[(0,) * a.ndim] = 7.0
 
@@ -215,7 +223,8 @@ class TestSettingDependentStates:
 
     def test_phi_plus_reproduced(self):
         model, asm = phi_plus_model()
-        assert np.max(np.abs(assemblage_from_mdlhs(model)._sigma - asm._sigma)) <= 1e-15
+        got = assemblage_stack(assemblage_from_mdlhs(model))
+        assert np.max(np.abs(got - assemblage_stack(asm))) <= 1e-15
 
     @pytest.mark.xfail(
         strict=True,
@@ -377,8 +386,8 @@ def owned_arrays(kind):
         return [p], [Behavior(p).probabilities]
     if kind == "Assemblage":  # from each form: the (a, x)-keyed dict and the stack sigma[x][a]
         elements = {k: m.copy() for k, m in maximally_mixed_assemblage().elements.items()}
-        stack = maximally_mixed_assemblage()._sigma.copy()
-        stored = [*Assemblage(elements).elements.values(), Assemblage(stack)._sigma]
+        stack = assemblage_stack(maximally_mixed_assemblage())
+        stored = [*Assemblage(elements).elements.values(), *Assemblage(stack).elements.values()]
         return [*elements.values(), stack], stored
     model = random_mdlhs_model(3, n_lambdas=2)
     inputs = [model.p_lambda_given_x.copy(), model.p_a_given_x_lambda.copy(), model.states.copy()]
@@ -492,6 +501,50 @@ class TestStackedValidation:
             MdLhsModel(model.p_lambda_given_x, model.p_a_given_x_lambda, states)
 
 
+def verdict(build):
+    """'PSD' if build() succeeds, else the message of its ValidationError."""
+    try:
+        build()
+    except ValidationError as exc:
+        return str(exc)
+    return "PSD"
+
+
+class TestOnePsdCriterion:
+    """A Bloch row given as a row or as its complex matrix, to an Assemblage or to an MdLhsModel,
+    gets one verdict: linalg.bloch_psd's."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("scale", [0.999, 1.001])
+    def test_rows_and_matrices_agree_at_the_slack(self, seed, scale):
+        # Unit-trace rows (1, r) with 1 - |r| = -scale 2 TOL.psd, one part in 1e3 of the slack
+        # either side of the edge as in test_kernel's 2x2 slack test; rounding moves ~1e-16.
+        rng = np.random.default_rng(seed)
+        r = rng.normal(size=(4, 3))
+        r *= (1.0 + scale * 2.0 * TOL.psd) / np.linalg.norm(r, axis=1, keepdims=True)
+        edge = np.hstack([np.ones((4, 1)), r])
+        passes = scale < 1.0
+        assert bloch_psd(edge.tolist()) == [passes] * 4
+        assert is_psd(pauli_matrices(edge / 2)).tolist() == [passes] * 4
+        half = np.array([1.0, 0.0, 0.0, 0.0])  # I/2, well inside the ball
+        for k, (a, x) in enumerate((a, x) for x in SETTINGS for a in OUTCOMES):
+            # Element k on the edge, its partner in setting x the zero operator (trace 0, PSD),
+            # the other setting I/2 and the zero operator: every trace sum is 1.
+            rows = np.zeros((4, 4))
+            rows[k] = edge[k]
+            rows[2 * (1 - k // 2)] = half
+            expected = "PSD" if passes else f"element (a={a}, x={x}) is not PSD"
+            assert verdict(lambda: Assemblage._from_bloch(rows.copy())) == expected
+            stack = pauli_matrices(rows / 2).reshape(2, 2, 2, 2)
+            assert verdict(lambda: Assemblage(stack)) == expected
+            # The same operator as the state of a one-lambda model, next to I/2.
+            states = np.array([pauli_matrices(np.array([half, half]) / 2)])
+            states[0, x - 1] = pauli_matrices(edge[k] / 2)
+            expected = "PSD" if passes else f"states[0][{x - 1}] is not a valid density matrix"
+            plx, pax = np.ones((2, 1)), np.full((2, 1, 2), 0.5)
+            assert verdict(lambda: MdLhsModel(plx, pax, states)) == expected
+
+
 def producer_stacks():
     """The stacks sigma[x][a] that the three producers build, one per producer."""
     rng = np.random.default_rng(21)
@@ -499,7 +552,7 @@ def producer_stacks():
     lhs = assemblage_from_mdlhs(random_mdlhs_model(21, n_lambdas=3))
     w = rng.uniform()
     mixed = mix_assemblages(steerable, lhs, {(a, x): w for a in OUTCOMES for x in SETTINGS})
-    return [asm._sigma.copy() for asm in (steerable, lhs, mixed)]
+    return [assemblage_stack(asm) for asm in (steerable, lhs, mixed)]
 
 
 class TestAssemblageFromStack:
@@ -509,8 +562,8 @@ class TestAssemblageFromStack:
     def test_stack_and_dict_build_the_same(self, index):
         stack = producer_stacks()[index]
         from_stack, from_dict = Assemblage(stack), Assemblage(_keyed(stack))
-        assert from_stack._sigma.tobytes() == from_dict._sigma.tobytes()
-        assert from_stack._sigma.tobytes() == stack.tobytes()
+        assert assemblage_stack(from_stack).tobytes() == assemblage_stack(from_dict).tobytes()
+        assert assemblage_stack(from_stack).tobytes() == stack.tobytes()
         assert from_stack.elements.keys() == from_dict.elements.keys()
         for key, m in from_dict.elements.items():
             assert from_stack.elements[key].tobytes() == m.tobytes()
