@@ -19,22 +19,6 @@ from typing import NamedTuple, Tuple
 
 from .kernel import TOL, require_finite
 
-_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's constant for doubles
-
-
-def _halves(a: float) -> Tuple[float, float]:
-    """a as hi + lo, exactly, each half short enough that a product of two halves is exact."""
-    t = _SPLIT * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _fma(a: float, b: float, c: float) -> float:
-    """a * b + c rounded once, as a fused multiply-add: Dekker's exact product, summed by fsum."""
-    a_hi, a_lo = _halves(a)
-    b_hi, b_lo = _halves(b)
-    return math.fsum((a_hi * b_hi, a_hi * b_lo, a_lo * b_hi, a_lo * b_lo, c))
-
 
 class _BiasModel(NamedTuple):
     theta: float
@@ -82,9 +66,7 @@ def constraint_report(model: BiasModel) -> ConstraintReport:
     c1, c2 = math.cos(model.theta) ** 2, math.cos(model.phi) ** 2
     (p11, p12), (p21, p22) = rows = ((c1, 1.0 - c1), (c2, 1.0 - c2))
     return ConstraintReport(
-        # (s, c) . (c1, c2) as a BLAS dot with fused multiply-adds rounds it, the bits
-        # the record has always printed: a plain s * c1 + c * c2 rounds differently.
-        p_x1=_fma(c, c2, s * c1),
+        p_x1=s * c1 + c * c2,
         p_lambda=(s, c),
         p_x_given_lambda=rows,
         max_l=min(p11, p12, p21, p22),

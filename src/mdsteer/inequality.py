@@ -52,21 +52,22 @@ class CorrelatorVector(NamedTuple):
         return np.array([self.e11, self.e12, self.e21, self.e22])
 
 
-def operator_value(e11, e12, e21, e22, p: float, beta: float = math.pi / 4):
-    """md_operator for Bob's measurement-overlap angle beta, elementwise, unvalidated.
+def operator_value(e11, e12, e21, e22, p: float, beta: float = math.pi / 4) -> float:
+    """md_operator for Bob's measurement-overlap angle beta, on Python floats, unvalidated.
 
     Each alpha = A^2 + B^2 gains a -2 A B cos(2 beta) cross-term that vanishes
     at beta = pi/4; it is summed as (A - B cos 2beta)^2 + (B sin 2beta)^2 so
-    that rounding never makes it negative. Takes floats or numpy arrays.
+    that rounding never makes it negative. Each operation rounds once as
+    written: squares are products and roots math.sqrt, both correctly rounded,
+    so numpy array code with the same products and np.sqrt gives the same bits.
     """
     c2b, s2b = math.cos(2.0 * beta), math.sin(2.0 * beta)
     q = 1.0 - p
     x1y1, x1y2, x2y1, x2y2 = p * e11, p * e12, q * e21, q * e22
     a1, b1 = x1y1 + x2y1, x1y2 + x2y2
     a2, b2 = x1y1 - x2y1, x1y2 - x2y2
-    alpha1 = (a1 - c2b * b1) ** 2 + (s2b * b1) ** 2
-    alpha2 = (a2 - c2b * b2) ** 2 + (s2b * b2) ** 2
-    return alpha1**0.5 + alpha2**0.5
+    u1, v1, u2, v2 = a1 - c2b * b1, s2b * b1, a2 - c2b * b2, s2b * b2
+    return math.sqrt(u1 * u1 + v1 * v1) + math.sqrt(u2 * u2 + v2 * v2)
 
 
 def md_operator(c: CorrelatorVector, p: float, beta: float = math.pi / 4) -> float:

@@ -13,10 +13,10 @@ than embedded in normalized behaviors. A mixture of strategies has no type
 of its own: its correlators are the weighted sum of its strategies'
 extremal_correlators. The operator is convex in the correlators, so no
 mixture exceeds its best extremal strategy. The oracle therefore evaluates
-the 4 x XI_GRID_POINTS grid vertices once and reports their exact maximum
-with a vertex that attains it; it draws no random number. It runs on Python
-floats alone and rounds as numpy's array operations do, bit for bit: the
-array code is the reference in tests/test_contractions.py.
+the 4 x XI_GRID_POINTS grid vertices once with inequality.operator_value and
+reports their exact maximum with a vertex that attains it; it draws no random
+number. It runs on Python floats alone; tests/test_contractions.py checks it
+against a numpy grid of the same operator.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import json
 import math
 from typing import NamedTuple, Tuple
 
-from .inequality import CorrelatorVector, local_bound
+from .inequality import CorrelatorVector, local_bound, operator_value
 from .kernel import (
     OPEN_RIGHT_ANGLE,
     SWEEP_BIAS,
@@ -115,23 +115,18 @@ def vertex_maximum(p: float) -> Tuple[float, ExtremalStrategy]:
     every correlator of chi = 1 and 3, and chi = 3 swaps chi = 1's alpha1 and
     alpha2, whose roots add the same either way. So only chi = 1 is evaluated,
     and its first maximum is the first over all 4 x XI_GRID_POINTS vertices in
-    (chi, xi) order. Each value is operator_value's as it rounds on numpy
-    arrays: squares are products and roots math.sqrt.
+    (chi, xi) order. Each value is operator_value of extremal_correlators at
+    that vertex, so md_operator gives the witness the value bit for bit.
     """
     require_interval("p", p, SWEEP_BIAS)
-    q, step = 1.0 - p, 2.0 * math.pi / XI_GRID_POINTS
-    f1, f2 = 2.0 * q, 2.0 * p
+    step = 2.0 * math.pi / XI_GRID_POINTS
+    f1, f2 = 2.0 * (1.0 - p), 2.0 * p
     beta = math.pi / 4
-    c2b = math.cos(2.0 * beta)  # not quite 0, and kept as operator_value keeps it
     best, best_xi = -math.inf, 0.0
     for i in range(XI_GRID_POINTS):
         xi = i * step - math.pi  # np.linspace(-pi, pi, XI_GRID_POINTS, endpoint=False)[i]
         c_plus, c_minus = math.cos(xi + beta), math.cos(xi - beta)
-        x1y1, x1y2 = p * (c_plus * f1), p * (c_minus * f1)
-        x2y1, x2y2 = q * (c_plus * f2), q * (c_minus * f2)
-        a1, b1, a2, b2 = x1y1 + x2y1, x1y2 + x2y2, x1y1 - x2y1, x1y2 - x2y2
-        u1, u2 = a1 - c2b * b1, a2 - c2b * b2
-        value = math.sqrt(u1 * u1 + b1 * b1) + math.sqrt(u2 * u2 + b2 * b2)
+        value = operator_value(c_plus * f1, c_minus * f1, c_plus * f2, c_minus * f2, p)
         if value > best:
             best, best_xi = value, xi
     return best, ExtremalStrategy(1, best_xi, p)

@@ -64,3 +64,14 @@ def saturating_mixture(p: float) -> CorrelatorVector:
     s1 = ExtremalStrategy(1, -math.pi / 4, p)
     s3 = ExtremalStrategy(3, -math.pi / 4, p)
     return mixed_correlators([(s1, 0.5), (s3, 0.5)])
+
+
+def array_operator(e11, e12, e21, e22, p, beta=math.pi / 4) -> np.ndarray:
+    """inequality.operator_value elementwise on numpy arrays: the same products and np.sqrt."""
+    c2b, s2b = math.cos(2.0 * beta), math.sin(2.0 * beta)
+    q = 1.0 - p
+    x1y1, x1y2, x2y1, x2y2 = p * e11, p * e12, q * e21, q * e22
+    a1, b1 = x1y1 + x2y1, x1y2 + x2y2
+    a2, b2 = x1y1 - x2y1, x1y2 - x2y2
+    u1, v1, u2, v2 = a1 - c2b * b1, s2b * b1, a2 - c2b * b2, s2b * b2
+    return np.sqrt(u1 * u1 + v1 * v1) + np.sqrt(u2 * u2 + v2 * v2)

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from conftest import chsh, random_mdlhs_model, saturating_mixture
+from conftest import array_operator, chsh, random_mdlhs_model, saturating_mixture
 from test_contractions import component_correlators
 
 from mdsteer.adversary import BiasModel, constraint_report
@@ -15,7 +15,6 @@ from mdsteer.behaviors import CorrelatorVector, correlators, tilted_behavior
 from mdsteer.inequality import (
     local_bound,
     md_operator,
-    operator_value,
     pr_closed_form,
     randomness_rate,
     tilted_closed_form,
@@ -76,7 +75,7 @@ def test_criterion_3_oracle_soundness():
         rep = bound_sweep(p, 100_000, seed=1000 + i)
         ok = ok and rep.max_operator <= rep.bound + 1e-9
         mixed = random_mixtures(np.random.default_rng(1000 + i), 100_000, p)
-        max_mixed = float(np.max(operator_value(*mixed, p)))
+        max_mixed = float(np.max(array_operator(*mixed, p)))
         ok = ok and max_mixed <= rep.bound + 1e-9
         # Convexity: no mixture beats the vertex maximum but by rounding.
         ok = ok and max_mixed <= rep.max_operator + 8 * np.spacing(rep.max_operator)

@@ -15,20 +15,22 @@ which builds its density without checks, is checked against the general
 without numpy (the distribution check, a behavior's table, the CLI's p grid,
 the oracle's vertex maximum, the adversary's report and the tables of the two
 behaviors on (|00> + |11>)/sqrt(2)) are checked bit for bit against numpy
-copies of the array code they replaced; tests/test_oracle.py and the
-acceptance suite use the oracle's copy too.
+copies of the array code they replaced; the vertex maximum's grid is
+evaluated with conftest.array_operator, and the acceptance suite uses the
+oracle's array kernel too.
 """
 
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assemblage_stack, random_mdlhs_model, spherical
+from conftest import array_operator, assemblage_stack, random_mdlhs_model, spherical
 
 from mdsteer import kernel, linalg, table
 from mdsteer.adversary import BiasModel, constraint_report
@@ -40,7 +42,7 @@ from mdsteer.behaviors import (
     tilted_behavior,
 )
 from mdsteer.cli import _linspace
-from mdsteer.inequality import md_operator, operator_value
+from mdsteer.inequality import md_operator
 from mdsteer.kernel import GAMMA, TILT, TOL, Direction, ValidationError
 from mdsteer.linalg import (
     TwoQubitState,
@@ -529,7 +531,7 @@ def component_correlators(chi, xi, p, beta=math.pi / 4):
 def reference_vertex_maximum(p):
     """(value, chi, xi) of the first maximum of the array operator over all 4 x 720 vertices."""
     chi = np.repeat(np.arange(1, 5), XI_GRID_POINTS)
-    values = operator_value(*component_correlators(chi, np.tile(XI_GRID, 4), p), p)
+    values = array_operator(*component_correlators(chi, np.tile(XI_GRID, 4), p), p)
     best = int(np.argmax(values))
     return float(values[best]), int(chi[best]), float(XI_GRID[best % XI_GRID_POINTS])
 
@@ -571,12 +573,13 @@ def test_extremal_correlators_are_the_array_kernel(chi, xi, p, beta):
 
 
 def reference_report_json(model) -> str:
-    """constraint_report's record as the numpy code built it, with numpy's BLAS dot."""
+    """constraint_report's record as the numpy code built it; pX1 is s * c1 + c * c2."""
     p_lambda = np.array([math.sin(model.delta) ** 2, math.cos(model.delta) ** 2])
     c1, c2 = math.cos(model.theta) ** 2, math.cos(model.phi) ** 2
     rows = np.array([[c1, 1.0 - c1], [c2, 1.0 - c2]])
+    s, c = p_lambda.tolist()
     return json.dumps({
-        "pX1": float(p_lambda @ np.array([c1, c2])),
+        "pX1": s * c1 + c * c2,
         "pLambda": p_lambda.tolist(),
         "pXGivenLambda": rows.tolist(),
         "maxL": float(rows.min()),
@@ -604,6 +607,11 @@ def test_constraint_report_is_the_array_route(theta, phi, delta):
     assert same_bits(report.p_x_given_lambda, want["pXGivenLambda"])
     assert same_bits(report.max_l, want["maxL"])
     assert report.measurement_independent is want["independent"]
+    # Within 2 ulps of the exact marginal of the rounded inputs.
+    (c1, _), (c2, _) = report.p_x_given_lambda
+    s, c = report.p_lambda
+    exact = Fraction(s) * Fraction(c1) + Fraction(c) * Fraction(c2)
+    assert abs(Fraction(report.p_x1) - exact) <= 2 * Fraction(math.ulp(report.p_x1))
 
 
 def reference_phi_plus(x_dirs, y_dirs):

@@ -3,14 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mixed_correlators, saturating_mixture
-from test_contractions import XI_GRID, component_correlators
+from test_contractions import XI_GRID
 
 from mdsteer.behaviors import CorrelatorVector
-from mdsteer.inequality import local_bound, md_operator, operator_value
+from mdsteer.inequality import local_bound, md_operator
 from mdsteer.kernel import ValidationError
 from mdsteer.oracle import (
     ExtremalStrategy,
@@ -236,15 +236,12 @@ class TestBoundSweep:
 class TestVertexMaximum:
     @settings(max_examples=100, deadline=None)
     @given(st.floats(1e-150, 0.5))
+    @example(0.3788644226541457)  # a root of libm's pow, which ** 0.5 once called, missed by 1 ulp
     def test_witness_attains_value(self, p):
         value, witness = vertex_maximum(p)
         assert (witness.p, witness.beta) == (p, math.pi / 4)
         assert witness.xi in XI_GRID
-        # Evaluated as the grid is, the witness gives the value bit for bit.
-        one = component_correlators(np.array([witness.chi]), np.array([witness.xi]), p)
-        assert operator_value(*one, p)[0] == value
-        # On scalars each ** 0.5 is libm's pow, not the grid's sqrt: up to 2 ulps apart (measured).
-        assert abs(md_operator(extremal_correlators(witness), p) - value) <= 2 * np.spacing(value)
+        assert md_operator(extremal_correlators(witness), p) == value
 
     @settings(max_examples=200, deadline=None)
     @given(
