@@ -13,12 +13,14 @@ coefficient row (``projector_rows``) and a two-qubit state its real 4x4
 ``pauli_coefficients``. Bob's Born rule on Bloch rows is ``born`` and the
 qubit PSD test is ``bloch_psd``: every behavior and every PSD verdict of the
 package goes through them, and ``bloch_screen`` reads complex 2x2 input as
-Bloch rows for them. ``projectors`` and ``tensor`` build the complex matrices
+Bloch rows for them, on Python floats, with the one Hermitian deviation that
+``is_hermitian`` computes. ``projectors`` and ``tensor`` build the complex matrices
 that the reference definitions use; no Born rule goes through them.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -50,18 +52,25 @@ def _verdict(ok: np.ndarray) -> bool | np.ndarray:
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def is_hermitian(m: np.ndarray) -> bool | np.ndarray:
-    """Whether m equals its conjugate transpose within TOL.eq.
+def _deviation(u: complex, v: complex) -> float:
+    """|u - conj(v)|, the Hermitian deviation of the entries m_ij = u and m_ji = v, on Python
+    floats: math.hypot gives inf where the difference overflows, and nothing warns."""
+    return math.hypot(u.real - v.real, u.imag + v.imag)
 
-    m is one matrix (returns a bool) or a stack (..., n, n) (returns one bool
-    per matrix); non-square input, 0-D and 1-D arrays included, is never Hermitian.
+
+def is_hermitian(m: np.ndarray) -> bool:
+    """Whether one matrix m equals its conjugate transpose within TOL.eq: every _deviation
+    of m_ij and m_ji, i <= j, on m.tolist(); a NaN fails. Non-square input, 0-D and 1-D
+    arrays included, is never Hermitian; a stack (ndim > 2) is a ValidationError.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim < 2:
+    if m.ndim > 2:
+        raise ValidationError(f"is_hermitian takes one matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[0] != m.shape[1]:
         return False
-    if m.shape[-1] != m.shape[-2]:
-        return _verdict(np.zeros(m.shape[:-2], dtype=bool))
-    return _verdict(np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= TOL.eq)
+    rows = m.tolist()
+    n = len(rows)
+    return all(_deviation(rows[i][j], rows[j][i]) <= TOL.eq for i in range(n) for j in range(i, n))
 
 
 def bloch_psd(rows: Sequence[Sequence[float]]) -> list:
@@ -85,47 +94,30 @@ def born(rows: np.ndarray, bob_rows: np.ndarray) -> np.ndarray:
     return np.maximum(xyab(rows @ bob_rows.T), 0.0)
 
 
-# The linear part of the 2x2 screen. A row per float of [[a, b], [c, d]]. The columns are the
-# Bloch row (t, x, y, z) = (Re a + Re d, 2 Re c, 2 Im c, Re a - Re d) of the lower triangle,
-# then three (re, im) pairs, b - conj(c), 2 Im a + 0j and 2 Im d + 0j. A column sums at most
-# two nonzero terms with weights +/-1 or 2, so it rounds once, as the formula written out does.
-_SCREEN_2X2 = np.array(
-    [
-        [1, 0, 0, 1, 0, 0, 0, 0, 0, 0],  # Re a
-        [0, 0, 0, 0, 0, 0, 2, 0, 0, 0],  # Im a
-        [0, 0, 0, 0, 1, 0, 0, 0, 0, 0],  # Re b
-        [0, 0, 0, 0, 0, 1, 0, 0, 0, 0],  # Im b
-        [0, 2, 0, 0, -1, 0, 0, 0, 0, 0],  # Re c
-        [0, 0, 2, 0, 0, 1, 0, 0, 0, 0],  # Im c
-        [1, 0, 0, -1, 0, 0, 0, 0, 0, 0],  # Re d
-        [0, 0, 0, 0, 0, 0, 0, 0, 2, 0],  # Im d
-    ]
-)
-
-
 def bloch_screen(m: np.ndarray) -> Tuple[np.ndarray, list]:
-    """(Bloch rows, PSD verdicts) of a C-ordered complex stack m (..., 2, 2): the rows
-    (..., 4) from one matmul, the verdicts one bool per matrix, in C order.
+    """(Bloch rows, PSD verdicts) of a C-ordered complex stack m (..., 2, 2), on Python
+    floats: the rows (..., 4), the verdicts one bool per matrix, in C order.
 
     A matrix [[a, b], [c, d]] is read as its lower triangle, as eigvalsh reads it: its Bloch
-    row is (t, x, y, z) = (Re a + Re d, 2 Re c, 2 Im c, Re a - Re d). It is PSD when its
-    Hermitian deviation max(|2 Im a|, |2 Im d|, |b - conj(c)|), is_hermitian's value bit for
-    bit, is <= max(TOL.psd, TOL.eq) and bloch_psd passes its row. A matrix with a NaN or an
-    infinite entry is screened as the zero matrix and fails, so no operation sees the entry
-    and none warns.
+    row is (t, x, y, z) = (Re a + Re d, 2 Re c, 2 Im c, Re a - Re d). It is PSD when its four
+    entries are finite, its Hermitian deviations |2 Im a|, |2 Im d| and |b - conj(c)|, each a
+    _deviation as is_hermitian computes it, are <= max(TOL.psd, TOL.eq), and bloch_psd
+    passes its row. No caller reads the row of a matrix that fails. No entry, however large,
+    makes a warning.
     """
-    entries = m.reshape(m.shape[:-2] + (4,)).view(float)
-    finite = None
-    if not np.isfinite(entries).all():
-        finite = np.isfinite(entries).all(axis=-1)
-        entries = np.where(finite[..., None], entries, 0.0)
-    lin = entries @ _SCREEN_2X2
-    gate = np.abs(lin[..., 4:].view(complex)).max(axis=-1) <= max(TOL.psd, TOL.eq)
-    if finite is not None:
-        gate &= finite
-    rows = lin[..., :4]
-    psd = bloch_psd(rows.reshape(-1, 4).tolist())
-    return rows, [hermitian and ok for hermitian, ok in zip(gate.ravel().tolist(), psd)]
+    tol = max(TOL.psd, TOL.eq)
+    rows, hermitian = [], []
+    for a, b, c, d in m.reshape(-1, 4).tolist():
+        rows.append((a.real + d.real, 2.0 * c.real, 2.0 * c.imag, a.real - d.real))
+        hermitian.append(
+            all(map(cmath.isfinite, (a, b, c, d)))
+            and _deviation(a, a) <= tol
+            and _deviation(d, d) <= tol
+            and _deviation(b, c) <= tol
+        )
+    psd = bloch_psd(rows)
+    screened = np.array(rows).reshape(m.shape[:-2] + (4,))
+    return screened, [h and ok for h, ok in zip(hermitian, psd)]
 
 
 def is_psd(m: np.ndarray) -> bool | np.ndarray:
@@ -202,7 +194,10 @@ class TwoQubitState:
             raise ValidationError("density matrix must be finite")
         if not is_hermitian(rho):
             raise ValidationError("density matrix is not Hermitian")
-        trace = np.trace(rho).real
+        # np.trace's bits, on Python floats, which overflow to inf without a warning: it adds
+        # the four diagonal entries in pairs, then the pairs, to an initial 0.0.
+        d0, d1, d2, d3 = rho.diagonal().real.tolist()
+        trace = 0.0 + ((d0 + d1) + (d2 + d3))
         if unnormalized(trace):
             raise ValidationError(f"density trace is {trace}, expected 1")
         if float(np.linalg.eigvalsh(rho).min()) < -TOL.psd:

@@ -17,7 +17,8 @@ projectors and C the state's ``pauli_coefficients``:
 and behavior_from_assemblage is ``linalg.born`` on V. One PSD criterion,
 ``linalg.bloch_psd``, checks every row: a producer's rows directly, an
 assemblage given as complex matrices and an MD-LHS model's complex states
-through ``linalg.bloch_screen``; each setting's traces t must sum to 1.
+through ``linalg.bloch_screen``, which reads them on Python floats; each
+setting's traces t must sum to 1.
 """
 
 from __future__ import annotations

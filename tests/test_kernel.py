@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -212,6 +213,11 @@ def reference_is_hermitian(m, tol=TOL.eq):
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
 
 
+def deviation(u, v):
+    """|u - conj(v)| of two Python complex numbers, as the package computes it."""
+    return math.hypot(u.real - v.real, u.imag + v.imag)
+
+
 def reference_is_psd(m, tol=TOL.psd):
     return reference_is_hermitian(m, max(tol, TOL.eq)) and np.linalg.eigvalsh(m).min() >= -tol
 
@@ -240,12 +246,18 @@ class TestStackedChecks:
     @pytest.mark.parametrize("shape, dim", [((20,), 2), ((3, 4, 2), 2)])
     def test_stack_verdicts_match_per_matrix_loop(self, seed, shape, dim):
         stack = mixed_stack(np.random.default_rng(seed), shape, dim)
-        psd, hermitian = is_psd(stack), is_hermitian(stack)
-        assert psd.shape == hermitian.shape == shape
+        psd = is_psd(stack)
+        assert psd.shape == shape
         for idx in np.ndindex(*shape):
             assert psd[idx] == reference_is_psd(stack[idx])
-            assert hermitian[idx] == reference_is_hermitian(stack[idx])
+            assert is_hermitian(stack[idx]) == reference_is_hermitian(stack[idx])
         assert psd.any() and not psd.all()
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (1, 4, 4), (2, 1, 2, 2), (0, 2, 2)])
+    def test_is_hermitian_refuses_a_stack(self, shape):
+        message = f"^is_hermitian takes one matrix, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValidationError, match=message):
+            is_hermitian(np.zeros(shape))
 
     def test_single_matrix_gives_bool(self):
         assert is_psd(np.eye(2)) is True
@@ -276,17 +288,19 @@ class TestStackedChecks:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_2x2_deviation_is_is_hermitians_bit_for_bit(self, seed, monkeypatch):
-        # With TOL.psd at the exact deviation the matrix passes, one ulp below it fails; an
-        # imaginary diagonal part counts twice, as in m - m^H.
+        # With both tolerances at the exact deviation the matrix passes both checks, one ulp
+        # below it fails both; an imaginary diagonal part counts twice, as in m - m^H.
         rng = np.random.default_rng(seed)
         for _ in range(50):
             m = np.diag(rng.uniform(0.5, 1.0, 2)).astype(complex)
             m += 1e-3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-            dev = float(np.abs(m - m.conj().T).max())
-            monkeypatch.setattr(linalg, "TOL", Tolerances(psd=dev))
-            assert is_psd(m) is True
-            monkeypatch.setattr(linalg, "TOL", Tolerances(psd=math.nextafter(dev, 0.0)))
-            assert is_psd(m) is False
+            (a, b), (c, d) = m.tolist()
+            dev = max(deviation(a, a), deviation(b, c), deviation(d, d))
+            monkeypatch.setattr(linalg, "TOL", Tolerances(eq=dev, psd=dev))
+            assert is_psd(m) is True and is_hermitian(m) is True
+            below = math.nextafter(dev, 0.0)
+            monkeypatch.setattr(linalg, "TOL", Tolerances(eq=below, psd=below))
+            assert is_psd(m) is False and is_hermitian(m) is False
 
     def test_2x2_reads_the_lower_triangle_gated_by_hermiticity(self):
         lower_psd = np.array([[1.0, 5.0], [0.5, 1.0]], dtype=complex)  # lower triangle PSD

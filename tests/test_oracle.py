@@ -201,13 +201,6 @@ class TestBoundSweep:
     def test_printed_maximum_is_the_grids(self, p, samples, seed):
         assert bound_sweep(p, samples, seed).max_operator == vertex_maximum(p)[0]
 
-    def test_several_blocks_deterministic_and_sound(self):
-        a = bound_sweep(0.35, 2 * 65536 + 5, seed=8)
-        assert a == bound_sweep(0.35, 2 * 65536 + 5, seed=8)
-        assert a.passed and a.samples == 2 * 65536 + 5
-        # The maximum the sampled sweep printed, bit for bit.
-        assert a.max_operator == 0.9100000000000004
-
     @pytest.mark.parametrize("samples", [20_000, 500_000])
     def test_peak_memory_independent_of_samples(self, samples):
         # A few floats at a time, under 1 KB, whatever the number of samples.
@@ -217,7 +210,7 @@ class TestBoundSweep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 2**20
+        assert peak < 2**10
 
     def test_report_json_keys(self):
         import json

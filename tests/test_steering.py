@@ -3,6 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import assemblage_stack, random_mdlhs_model
 
@@ -543,6 +546,49 @@ class TestOnePsdCriterion:
             expected = "PSD" if passes else f"states[0][{x - 1}] is not a valid density matrix"
             plx, pax = np.ones((2, 1)), np.full((2, 1, 2), 0.5)
             assert verdict(lambda: MdLhsModel(plx, pax, states)) == expected
+
+
+def lower_triangle_rows(m):
+    """The Bloch rows (Re a + Re d, 2 Re c, 2 Im c, Re a - Re d) of a stack (..., 2, 2) of
+    [[a, b], [c, d]], with numpy elementwise."""
+    a, c, d = m[..., 0, 0].real, m[..., 1, 0], m[..., 1, 1].real
+    return np.stack([a + d, 2 * c.real, 2 * c.imag, a - d], axis=-1)
+
+
+def near_hermitian(weights, bloch, noise):
+    """weights[k] (I + n_k . sigma)/2 for the Bloch vectors n_k = bloch[k], with noise[k] added
+    to the upper entry and, as an imaginary part, to the diagonal: within the Hermitian gate."""
+    w, (nx, ny, nz) = weights[:, None, None], np.moveaxis(bloch, -1, 0)
+    m = np.empty(bloch.shape[:-1] + (2, 2), dtype=complex)
+    m[..., 0, 0] = (1 + nz) / 2 + 0.5j * noise
+    m[..., 1, 0] = (nx + 1j * ny) / 2
+    m[..., 0, 1] = (nx - 1j * ny) / 2 + noise * (1 + 1j)
+    m[..., 1, 1] = (1 - nz) / 2 - 0.5j * noise
+    return w * m
+
+
+# Bloch vector components in [-0.57, 0.57]: |n| < 0.99, so every operator is well inside PSD.
+BLOCH = hnp.arrays(float, (4, 3), elements=st.floats(-0.57, 0.57))
+NOISE = hnp.arrays(float, 4, elements=st.floats(-1e-12, 1e-12))
+
+
+class TestCallerBuiltRows:
+    """A caller's complex matrices are held as the Bloch rows of their lower triangles."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(w=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0), bloch=BLOCH, noise=NOISE)
+    def test_assemblage_rows(self, w, v, bloch, noise):
+        flat = near_hermitian(np.array([w, 1 - w, v, 1 - v]), bloch, noise)
+        asm = Assemblage(dict(zip(((a, x) for x in SETTINGS for a in OUTCOMES), flat)))
+        assert asm._bloch.tobytes() == lower_triangle_rows(flat).tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(bloch=BLOCH, noise=NOISE)
+    def test_model_rows(self, bloch, noise):
+        states = near_hermitian(np.ones(4), bloch, noise).reshape(2, 2, 2, 2)
+        model = MdLhsModel(np.full((2, 2), 0.5), np.full((2, 2, 2), 0.5), states)
+        expected = lower_triangle_rows(states).transpose(1, 0, 2)
+        assert model._bloch.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 def producer_stacks():

@@ -228,6 +228,43 @@ class TestNonFiniteArrays:
             assert is_psd(stack[1]) is False
 
 
+class TestHugeFiniteEntries:
+    """Finite entries near the float maximum, whose sums overflow, are judged without a numpy
+    warning: an overflowed sum reads as inf and fails its check."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_is_psd(self):
+        assert is_psd(np.eye(2) * 1e308) is True
+        assert is_psd(np.array([[1.0, 1e308], [-1e308, 1.0]])) is False  # b - conj(c) is inf
+
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_assemblage(self, stack):
+        elements = {(a, x): np.eye(2) * 1e308 for x in (1, 2) for a in (+1, -1)}
+        built_from = np.array(list(elements.values())).reshape(2, 2, 2, 2) if stack else elements
+        with pytest.raises(ValidationError, match=r"^traces for x=1 sum to inf, expected 1$"):
+            Assemblage(built_from)
+
+    def test_model(self):
+        states = MIXED.copy()
+        states[0, 0] = np.eye(2) * 1e308
+        message = r"^states\[0\]\[0\] is not a valid density matrix$"
+        with pytest.raises(ValidationError, match=message):
+            MdLhsModel(np.full((2, 2), 0.5), np.full((2, 2, 2), 0.5), states)
+
+    def test_two_qubit_state(self):
+        with pytest.raises(ValidationError, match=r"^density trace is inf, expected 1$"):
+            TwoQubitState(np.eye(4) * 1e308)
+        rho = np.eye(4) / 4
+        rho[0, 1], rho[1, 0] = 1e308, -1e308
+        with pytest.raises(ValidationError, match=r"^density matrix is not Hermitian$"):
+            TwoQubitState(rho)
+
+
 # An array of each non-numeric kind that numpy would otherwise cast to numbers, or try to.
 NON_NUMERIC = {
     "str": lambda shape: np.full(shape, "0.25"),
