@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -90,8 +90,9 @@ def xyab(p: np.ndarray) -> np.ndarray:
 def born(rows: np.ndarray, bob_rows: np.ndarray) -> np.ndarray:
     """Bob's Born rule p[x][y][a][b] = Tr[P_b^y sigma_{a|x}] = q . v, clipped at 0, for the
     Bloch row v = rows[xa] of Bob's unnormalized state after Alice's outcome a of setting x
-    and the projector_rows q = bob_rows[yb] of his measurements; one (4, 4) matmul."""
-    return np.maximum(xyab(rows @ bob_rows.T), 0.0)
+    and the projector_rows q = bob_rows[yb] of his measurements; one (4, 4) matmul. The
+    values go into a fresh C-ordered array, which adopt_behavior can hold without a copy."""
+    return np.maximum(xyab(rows @ bob_rows.T), 0.0, out=np.empty((2, 2, 2, 2)))
 
 
 def bloch_screen(m: np.ndarray) -> Tuple[np.ndarray, list]:
@@ -106,17 +107,19 @@ def bloch_screen(m: np.ndarray) -> Tuple[np.ndarray, list]:
     makes a warning.
     """
     tol = max(TOL.psd, TOL.eq)
-    rows, hermitian = [], []
+    isfinite = cmath.isfinite
+    flat, hermitian = [], []
     for a, b, c, d in m.reshape(-1, 4).tolist():
-        rows.append((a.real + d.real, 2.0 * c.real, 2.0 * c.imag, a.real - d.real))
+        flat += (a.real + d.real, 2.0 * c.real, 2.0 * c.imag, a.real - d.real)
         hermitian.append(
-            all(map(cmath.isfinite, (a, b, c, d)))
+            isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)
             and _deviation(a, a) <= tol
             and _deviation(d, d) <= tol
             and _deviation(b, c) <= tol
         )
-    psd = bloch_psd(rows)
-    screened = np.array(rows).reshape(m.shape[:-2] + (4,))
+    values = iter(flat)  # zip takes them four at a time, one Bloch row each
+    psd = bloch_psd(zip(values, values, values, values))
+    screened = np.array(flat).reshape(m.shape[:-2] + (4,))
     return screened, [h and ok for h, ok in zip(hermitian, psd)]
 
 
@@ -159,11 +162,11 @@ def projector_rows(dirs: Sequence[Direction]) -> np.ndarray:
     """Coefficient rows q = (1, +/-n)/2 of the projectors (I +/- n . sigma)/2 = sum_j q_j
     sigma_j, one per (direction, outcome) in OUTCOMES order: row 2 s + k for dirs[s] and
     OUTCOMES[k]: half the projectors' Bloch rows (1, +/-n), as born takes them."""
-    rows = []
+    flat = []
     for n in dirs:
         x, y, z = 0.5 * n.nx, 0.5 * n.ny, 0.5 * n.nz
-        rows += ((0.5, x, y, z), (0.5, -x, -y, -z))
-    return np.array(rows)
+        flat += (0.5, x, y, z, 0.5, -x, -y, -z)
+    return np.array(flat).reshape(-1, 4)
 
 
 def projectors(dirs: Sequence[Direction]) -> np.ndarray:
@@ -182,9 +185,13 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TwoQubitState:
-    """A validated 4x4 density matrix (Hermitian, unit trace, PSD); compared by identity."""
+    """A validated 4x4 density matrix (Hermitian, unit trace, PSD); compared by identity.
+
+    It holds its pauli_coefficients, read-only, in ``_pauli``, computed once when it is built.
+    """
 
     density: np.ndarray
+    _pauli: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rho = frozen_copy(self.density, complex)
@@ -203,6 +210,7 @@ class TwoQubitState:
         if float(np.linalg.eigvalsh(rho).min()) < -TOL.psd:
             raise ValidationError("density matrix is not positive semidefinite")
         object.__setattr__(self, "density", rho)
+        object.__setattr__(self, "_pauli", _coefficients(rho))
 
 
 def pure_state(theta: float) -> TwoQubitState:
@@ -211,17 +219,19 @@ def pure_state(theta: float) -> TwoQubitState:
     theta must lie in [0, pi/2]; theta = pi/4 is maximally entangled.
 
     The one construction here that skips TwoQubitState.__post_init__: the density
-    np.outer(psi, psi*) is Hermitian as built, its one nonzero block, on |00>, |11>, has
-    rank one, and its trace cos^2 + sin^2 is within a few ulps of 1, so no check could fail.
+    psi psi^dagger, the multiply np.outer runs, is Hermitian as built, its one nonzero block,
+    on |00>, |11>, has rank one, and its trace cos^2 + sin^2 is within a few ulps of 1, so no
+    check could fail. It sets _pauli as __post_init__ does.
     """
     require_interval("theta", theta, RIGHT_ANGLE)
     psi = np.zeros(4, dtype=complex)
     psi[0] = math.cos(theta)
     psi[3] = -math.sin(theta)
-    rho = np.outer(psi, psi.conj())
+    rho = psi[:, None] * psi.conj()
     rho.setflags(write=False)
     state = object.__new__(TwoQubitState)
     object.__setattr__(state, "density", rho)
+    object.__setattr__(state, "_pauli", _coefficients(rho))
     return state
 
 
@@ -239,26 +249,39 @@ _PAIR_BASIS = np.ascontiguousarray(
 )
 
 
+def _coefficients(rho: np.ndarray) -> np.ndarray:
+    """The pauli_coefficients of a C-ordered density rho, read-only: one (32,) @ (32, 16)."""
+    c = (rho.reshape(16).view(float) @ _PAIR_BASIS).reshape(4, 4)
+    c.setflags(write=False)
+    return c
+
+
 def pauli_coefficients(state: TwoQubitState) -> np.ndarray:
     """C[i, j] = Tr[rho sigma_i (x) sigma_j], with sigma_0 = I, as a real 4x4 array.
 
     rho = sum_ij C[i, j] sigma_i (x) sigma_j / 4: C[0, 0] = 1, row 0 holds Bob's Bloch
     vector, column 0 Alice's and C[1:, 1:] the correlation matrix. With Alice's
     projector_rows Q, Bob's unnormalized state after her outcome a of setting x has the Bloch
-    row (Q C)[xa], which born takes.
+    row (Q C)[xa], which born takes. The state's own read-only array, the same on every call.
     """
-    return (state.density.reshape(16).view(float) @ _PAIR_BASIS).reshape(4, 4)
+    return state._pauli
 
 
 def expectation(state: TwoQubitState, obs: np.ndarray) -> float:
-    """Tr[obs . rho] for a Hermitian 4x4 observable."""
+    """Tr[obs . rho] for a Hermitian 4x4 observable: sum_ij Re(obs_ij rho_ji) on Python floats,
+    which overflow to inf without a warning; a value that is not finite is refused."""
     obs = np.asarray(obs, dtype=complex)
     if obs.shape != (4, 4):
         raise ValidationError(f"observable must be 4x4, got shape {obs.shape}")
     if not is_hermitian(obs):
         raise ValidationError("observable is not Hermitian")
-    value = np.trace(obs @ state.density)
-    return float(value.real)
+    value = 0.0
+    for o_row, rho_col in zip(obs.tolist(), state.density.T.tolist()):
+        for o, r in zip(o_row, rho_col):
+            value += o.real * r.real - o.imag * r.imag
+    if not math.isfinite(value):
+        raise ValidationError(f"expectation value is {value}, not finite")
+    return value
 
 
 def partial_trace_alice(m: np.ndarray) -> np.ndarray:

@@ -14,7 +14,10 @@ projectors and C the state's ``pauli_coefficients``:
   assemblage_from_state      V = N C / 2
   assemblage_from_mdlhs      V[x][a] = sum_lambda p(lambda|x) p(a|x,lambda) v_{lambda|x}
   mix_assemblages            V = (1 - eta) V_steerable + eta V_mdlhs
-and behavior_from_assemblage is ``linalg.born`` on V. One PSD criterion,
+and behavior_from_assemblage is ``linalg.born`` on V, handed to ``behaviors.adopt_behavior``
+without a copy. Each derived array is computed once, by the object that owns it: a state
+holds C, an MD-LHS model its assemblage's V (``_rows``), and a producer's Assemblage builds
+its complex ``elements`` from V only when they are first read. One PSD criterion,
 ``linalg.bloch_psd``, checks every row: a producer's rows directly, an
 assemblage given as complex matrices and an MD-LHS model's complex states
 through ``linalg.bloch_screen``, which reads them on Python floats; each
@@ -28,7 +31,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .behaviors import Behavior
+from .behaviors import Behavior, adopt_behavior
 from .kernel import (
     BIAS,
     OPEN_UNIT,
@@ -98,12 +101,12 @@ class Assemblage:
     Built from that map, or from a stack sigma[x][a] of shape (2, 2, 2, 2). Stored once, as
     a read-only stack; ``elements`` holds views of it. Every element is also held as its
     Bloch row (t, x, y, z), sigma = (t I + x sigma_x + y sigma_y + z sigma_z)/2, in the
-    read-only (4, 4) array ``_bloch`` in _KEYS order, which the Born rule and mixtures read.
-    Invariants: every element is PSD by linalg.bloch_psd and each setting's traces sum to 1.
-    Compared by identity.
+    read-only (4, 4) array ``_bloch`` in _KEYS order, which the Born rule, mixtures and
+    outcome probabilities read. Invariants: every element is PSD by linalg.bloch_psd and each
+    setting's traces sum to 1. Compared by identity.
 
     The producers build an Assemblage from Bloch rows (``_from_bloch``): the rows are checked
-    as rows and the stack is derived from them.
+    as rows, and the stack is derived from them when ``elements`` is first read.
     """
 
     elements: Dict[AssemblageKey, np.ndarray] | np.ndarray
@@ -134,17 +137,25 @@ class Assemblage:
         array it is given, made read-only."""
         flat = rows.tolist()
         _check(bloch_psd(flat), [row[0] for row in flat])
-        sigma = _read_only(pauli_matrices(0.5 * rows))
         asm = object.__new__(cls)
-        object.__setattr__(asm, "elements", _keyed(sigma))
         object.__setattr__(asm, "_bloch", _read_only(rows))
         return asm
 
+    def __getattr__(self, name: str):
+        """A producer's ``elements`` on first read: the read-only pauli_matrices of half its
+        Bloch rows, keyed by _KEYS, stored so that later reads find them."""
+        if name != "elements":
+            raise AttributeError(name)
+        elements = _keyed(_read_only(pauli_matrices(0.5 * self._bloch)))
+        object.__setattr__(self, "elements", elements)
+        return elements
+
     def outcome_probability(self, a: int, x: int) -> float:
-        """p(a|x) = Tr sigma_{a|x}, for a in OUTCOMES and x in SETTINGS."""
+        """p(a|x) = Tr sigma_{a|x}, the trace t of its Bloch row, for a in OUTCOMES and x in
+        SETTINGS."""
         if a not in OUTCOMES or x not in SETTINGS:
             raise ValidationError(f"no assemblage element for (a={a}, x={x})")
-        return float(np.trace(self.elements[(a, x)]).real)
+        return float(self._bloch[_KEYS.index((a, x)), 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,14 +166,16 @@ class MdLhsModel:
       p_lambda_given_x[x][lam]   shape (2, n)
       p_a_given_x_lambda[x][lam][a]  shape (2, n, 2), a index 0 <-> +1
       states[lam][x]             shape (n, 2, 2, 2) complex densities
-    The model keeps read-only C-ordered copies of them, and the Bloch rows of the states,
-    indexed [x][lam], in ``_bloch``. Compared by identity.
+    The model keeps read-only C-ordered copies of them, the Bloch rows of the states,
+    indexed [x][lam], in ``_bloch``, and the (4, 4) Bloch rows of its assemblage, in _KEYS
+    order, in ``_rows``. Compared by identity.
     """
 
     p_lambda_given_x: np.ndarray
     p_a_given_x_lambda: np.ndarray
     states: np.ndarray
     _bloch: np.ndarray = field(init=False, repr=False)
+    _rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         plx = frozen_copy(self.p_lambda_given_x, float)
@@ -186,6 +199,7 @@ class MdLhsModel:
         object.__setattr__(self, "p_a_given_x_lambda", pax)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "_bloch", _read_only(rows.transpose(1, 0, 2)))
+        object.__setattr__(self, "_rows", _read_only((_weights(self) @ self._bloch).reshape(4, 4)))
 
 
 def _require_eta(eta: Dict[AssemblageKey, float], domain: Interval) -> None:
@@ -217,16 +231,17 @@ def assemblage_from_state(state: TwoQubitState, alice_dirs: Sequence[Direction])
 def assemblage_from_mdlhs(model: MdLhsModel) -> Assemblage:
     """sigma_{a|x} = sum_lambda p(lambda|x) p(a|x,lambda) rho_{lambda|x}, a new one per call.
 
-    In Bloch rows: one batched matmul of the weights w[x][a][lambda] with the states' rows.
+    In Bloch rows: the model's ``_rows``, one batched matmul of the weights w[x][a][lambda]
+    with the states' rows, computed when the model was built.
     """
-    return Assemblage._from_bloch((_weights(model) @ model._bloch).reshape(4, 4))
+    return Assemblage._from_bloch(model._rows)
 
 
 def behavior_from_assemblage(asm: Assemblage, bob_dirs: Sequence[Direction]) -> Behavior:
     """p(ab|xy) = Tr[P_b^y sigma_{a|x}] for Bob's projective measurements: linalg.born on
     the assemblage's Bloch rows and Bob's projector_rows."""
     _require_two(bob_dirs, "Bob")
-    return Behavior(born(asm._bloch, projector_rows(bob_dirs)))
+    return adopt_behavior(born(asm._bloch, projector_rows(bob_dirs)))
 
 
 def mdlhv_decomposition_check(model: MdLhsModel, bob_dirs: Sequence[Direction]) -> float:
@@ -237,10 +252,10 @@ def mdlhv_decomposition_check(model: MdLhsModel, bob_dirs: Sequence[Direction]) 
     once as sum_lambda p(lambda|x) p(a|x,lambda) Tr[P_b^y rho_{lambda|x}]; they agree by linearity.
     """
     _require_two(bob_dirs, "Bob")
-    bob, w = projector_rows(bob_dirs), _weights(model)
-    via = born((w @ model._bloch).reshape(4, 4), bob)
-    direct = xyab(w @ (model._bloch @ bob.T))
-    return float(np.max(np.abs(via - direct)))
+    bob = projector_rows(bob_dirs)
+    via = born(model._rows, bob)
+    direct = xyab(_weights(model) @ (model._bloch @ bob.T))
+    return max(map(abs, (via - direct).ravel().tolist()))
 
 
 def mix_assemblages(

@@ -17,6 +17,7 @@ from mdsteer.linalg import (
     is_hermitian,
     is_psd,
     partial_trace_alice,
+    pauli_coefficients,
     pauli_observable,
     pure_state,
     tensor,
@@ -154,6 +155,35 @@ class TestExpectation:
             pure_state(1.1), obs
         )
         assert expectation(mixed, obs) == pytest.approx(expected, abs=1e-12)
+
+    def test_overflow_is_refused_without_a_warning(self):
+        obs = np.zeros((4, 4))
+        obs[0, 0] = obs[3, 3] = obs[0, 3] = obs[3, 0] = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^expectation value is inf, not finite$"):
+                expectation(bell_phi_plus(), obs)
+
+
+class TestPauliCoefficients:
+    """A state's coefficients are computed once, when it is built, and shared read-only."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: pure_state(0.3), bell_phi_plus, lambda: TwoQubitState(pure_state(1.1).density)],
+    )
+    def test_held_once_and_read_only(self, make):
+        state = make()
+        c = pauli_coefficients(state)
+        assert pauli_coefficients(state) is c
+        assert not c.flags.writeable
+        expected = (state.density.reshape(16).view(float) @ linalg._PAIR_BASIS).reshape(4, 4)
+        assert c.tobytes() == expected.tobytes()
+        assert "_pauli" not in repr(state)
+
+    def test_pure_state_density_is_the_outer_product(self):
+        psi = np.array([math.cos(0.7), 0.0, 0.0, -math.sin(0.7)], dtype=complex)
+        assert pure_state(0.7).density.tobytes() == np.outer(psi, psi.conj()).tobytes()
 
 
 class TestTwoQubitState:

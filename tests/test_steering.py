@@ -9,7 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import assemblage_stack, random_mdlhs_model
 
-from mdsteer.behaviors import OUTCOMES, Behavior, correlators, pr_box
+from mdsteer import steering
+from mdsteer.behaviors import OUTCOMES, Behavior, behavior_from_quantum, correlators, pr_box
 from mdsteer.inequality import local_bound, md_operator
 from mdsteer.kernel import TOL, Direction, ValidationError
 from mdsteer.linalg import (
@@ -25,7 +26,9 @@ from mdsteer.steering import (
     SETTINGS,
     Assemblage,
     MdLhsModel,
+    _KEYS,
     _keyed,
+    _weights,
     assemblage_from_mdlhs,
     assemblage_from_state,
     behavior_from_assemblage,
@@ -653,3 +656,95 @@ class TestOutcomeProbability:
         assert [asm.outcome_probability(a, x) for x in SETTINGS for a in OUTCOMES] == [
             1.0, 0.0, 0.5, 0.5
         ]
+
+
+def producer_assemblages(seed):
+    """One assemblage from each producer: a state's, an MD-LHS model's and their mixture."""
+    rng = np.random.default_rng(seed)
+    state = pure_state(rng.uniform(0, math.pi / 2))
+    steerable = assemblage_from_state(state, random_directions(rng, 2))
+    lhs = assemblage_from_mdlhs(random_mdlhs_model(seed))
+    return steerable, lhs, mix_assemblages(steerable, lhs, {k: 0.5 for k in _KEYS})
+
+
+class TestDerivedArraysBuiltOnce:
+    """Each derived array is computed once, by the object that owns it; a producer's complex
+    elements only when they are read."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_producer_elements_are_built_on_first_read(self, seed):
+        for asm in producer_assemblages(seed):
+            assert "elements" not in vars(asm)
+            asm.outcome_probability(-1, 2)
+            behavior_from_assemblage(asm, (Z, X))
+            assert "elements" not in vars(asm)
+            elements = asm.elements
+            assert vars(asm)["elements"] is elements
+            assert asm.elements is elements
+            assert list(elements) == list(_KEYS)
+            expected = pauli_matrices(0.5 * asm._bloch).reshape(len(_KEYS), 2, 2)
+            for k, m in zip(_KEYS, expected):
+                assert elements[k].tobytes() == m.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    elements[k][0, 0] = 7.0
+
+    def test_other_missing_attributes_still_raise(self):
+        asm = assemblage_from_state(bell_phi_plus(), (Z, X))
+        with pytest.raises(AttributeError):
+            asm.sigma
+        assert "elements" not in vars(asm)
+
+    def test_caller_built_assemblage_keeps_its_stack(self):
+        asm = Assemblage(assemblage_stack(assemblage_from_state(bell_phi_plus(), (Z, X))))
+        assert "elements" in vars(asm)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_outcome_probability_is_the_validated_trace(self, seed):
+        produced = producer_assemblages(seed)
+        for asm in (*produced, Assemblage(assemblage_stack(produced[0]))):
+            for i, (a, x) in enumerate(_KEYS):
+                assert asm.outcome_probability(a, x) == asm._bloch[i, 0]
+
+    def test_caller_built_outcome_probability_equals_the_matrix_trace(self):
+        stack = assemblage_stack(assemblage_from_mdlhs(random_mdlhs_model(5)))
+        asm = Assemblage(stack)
+        for a, x in _KEYS:
+            assert asm.outcome_probability(a, x) == float(np.trace(asm.elements[(a, x)]).real)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_model_rows_are_its_assemblages(self, seed):
+        model = random_mdlhs_model(seed)
+        expected = (_weights(model) @ model._bloch).reshape(4, 4)
+        assert model._rows.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            model._rows[0, 0] = 7.0
+        assert assemblage_from_mdlhs(model)._bloch.tobytes() == expected.tobytes()
+        assert "_rows" not in repr(model)
+
+    def test_producer_behaviors_hold_their_own_arrays(self):
+        state, alice, bob = pure_state(0.4), (Z, X), (X, Z)
+        asm = assemblage_from_state(state, alice)
+        for b in (behavior_from_assemblage(asm, bob), behavior_from_quantum(state, alice, bob)):
+            p = b.probabilities
+            assert p.flags.c_contiguous and not p.flags.writeable
+            assert b.entries == tuple(p.ravel().tolist())
+
+    def test_caller_built_behavior_copies_its_input(self):
+        asm = assemblage_from_state(pure_state(0.4), (Z, X))
+        p = np.array(behavior_from_assemblage(asm, (X, Z)).probabilities)
+        b = Behavior(p)
+        assert p.flags.writeable
+        assert not np.shares_memory(p, b.probabilities)
+        before = b.probabilities.copy()
+        p[...] = 0.0
+        np.testing.assert_array_equal(b.probabilities, before)
+
+    def test_producers_do_not_reach_behavior_by_name(self, monkeypatch):
+        # A traced benchmark run puts a plain-function wrapper in place of steering.Behavior.
+        model = random_mdlhs_model(11)
+        asm = assemblage_from_mdlhs(model)
+        expected = behavior_from_assemblage(asm, (Z, X)).probabilities
+        error = mdlhv_decomposition_check(model, (Z, X))
+        monkeypatch.setattr(steering, "Behavior", lambda *a, **k: Behavior(*a, **k))
+        assert np.array_equal(behavior_from_assemblage(asm, (Z, X)).probabilities, expected)
+        assert mdlhv_decomposition_check(model, (Z, X)) == error
