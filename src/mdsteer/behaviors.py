@@ -48,16 +48,19 @@ _AB_SIGNS = np.outer(OUTCOME_SIGNS, OUTCOME_SIGNS)  # a * b, indexed [a][b]
 class Behavior:
     """Conditional distribution p(ab|xy), validated for normalization; compared by identity.
 
-    ``entries`` holds the same 16 numbers as a ``table.Table`` of Python floats. A Behavior
-    built by a caller holds a read-only copy of its input; the library's producers hand it
-    arrays that no one else holds through ``adopt_behavior``.
+    ``entries`` holds the same 16 numbers as a ``table.Table`` of Python floats.
     """
 
     probabilities: np.ndarray
     entries: Table = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _hold(self, frozen_copy(self.probabilities, float))
+        p = frozen_copy(self.probabilities, float)
+        table.require_shape(p.shape)
+        t = tuple(p.ravel().tolist())
+        require_distribution("p(ab|xy)", t, table.SHAPE, 2)
+        object.__setattr__(self, "probabilities", p)
+        object.__setattr__(self, "entries", t)
 
     def to_json(self) -> str:
         return json.dumps({"probabilities": self.probabilities.tolist()})
@@ -65,24 +68,6 @@ class Behavior:
     @classmethod
     def from_json(cls, text: str) -> "Behavior":
         return cls(np.reshape(table.read_table(text), table.SHAPE))
-
-
-def _hold(b: Behavior, p: np.ndarray) -> None:
-    """Check the C-ordered float array p as a p(ab|xy) and store it, read-only, in b."""
-    table.require_shape(p.shape)
-    t = tuple(p.ravel().tolist())
-    require_distribution("p(ab|xy)", t, table.SHAPE, 2)
-    p.setflags(write=False)
-    object.__setattr__(b, "probabilities", p)
-    object.__setattr__(b, "entries", t)
-
-
-def adopt_behavior(p: np.ndarray) -> Behavior:
-    """The Behavior of a fresh C-ordered float array p that no one else holds, without a copy:
-    p is checked as Behavior checks its input and made read-only in place."""
-    b = object.__new__(Behavior)
-    _hold(b, p)
-    return b
 
 
 def behavior_from_quantum(
@@ -98,7 +83,7 @@ def behavior_from_quantum(
     if len(x_dirs) != 2 or len(y_dirs) != 2:
         raise ValidationError("exactly two measurement directions per party required")
     rows = projector_rows(x_dirs) @ pauli_coefficients(state)
-    return adopt_behavior(born(rows, projector_rows(y_dirs)))
+    return Behavior(born(rows, projector_rows(y_dirs)))
 
 
 def correlators(b: Behavior) -> CorrelatorVector:

@@ -90,9 +90,8 @@ def xyab(p: np.ndarray) -> np.ndarray:
 def born(rows: np.ndarray, bob_rows: np.ndarray) -> np.ndarray:
     """Bob's Born rule p[x][y][a][b] = Tr[P_b^y sigma_{a|x}] = q . v, clipped at 0, for the
     Bloch row v = rows[xa] of Bob's unnormalized state after Alice's outcome a of setting x
-    and the projector_rows q = bob_rows[yb] of his measurements; one (4, 4) matmul. The
-    values go into a fresh C-ordered array, which adopt_behavior can hold without a copy."""
-    return np.maximum(xyab(rows @ bob_rows.T), 0.0, out=np.empty((2, 2, 2, 2)))
+    and the projector_rows q = bob_rows[yb] of his measurements; one (4, 4) matmul."""
+    return np.maximum(xyab(rows @ bob_rows.T), 0.0)
 
 
 def bloch_screen(m: np.ndarray) -> Tuple[np.ndarray, list]:

@@ -14,10 +14,9 @@ projectors and C the state's ``pauli_coefficients``:
   assemblage_from_state      V = N C / 2
   assemblage_from_mdlhs      V[x][a] = sum_lambda p(lambda|x) p(a|x,lambda) v_{lambda|x}
   mix_assemblages            V = (1 - eta) V_steerable + eta V_mdlhs
-and behavior_from_assemblage is ``linalg.born`` on V, handed to ``behaviors.adopt_behavior``
-without a copy. Each derived array is computed once, by the object that owns it: a state
-holds C, an MD-LHS model its assemblage's V (``_rows``), and a producer's Assemblage builds
-its complex ``elements`` from V only when they are first read. One PSD criterion,
+and behavior_from_assemblage is ``linalg.born`` on V. Each derived array is computed once,
+by the object that owns it: a state holds C, an MD-LHS model its assemblage's V
+(``_rows``). One PSD criterion,
 ``linalg.bloch_psd``, checks every row: a producer's rows directly, an
 assemblage given as complex matrices and an MD-LHS model's complex states
 through ``linalg.bloch_screen``, which reads them on Python floats; each
@@ -31,7 +30,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .behaviors import Behavior, adopt_behavior
+from .behaviors import Behavior
 from .kernel import (
     BIAS,
     OPEN_UNIT,
@@ -106,7 +105,7 @@ class Assemblage:
     setting's traces sum to 1. Compared by identity.
 
     The producers build an Assemblage from Bloch rows (``_from_bloch``): the rows are checked
-    as rows, and the stack is derived from them when ``elements`` is first read.
+    as rows and the stack is derived from them.
     """
 
     elements: Dict[AssemblageKey, np.ndarray] | np.ndarray
@@ -137,18 +136,11 @@ class Assemblage:
         array it is given, made read-only."""
         flat = rows.tolist()
         _check(bloch_psd(flat), [row[0] for row in flat])
+        sigma = _read_only(pauli_matrices(0.5 * rows))
         asm = object.__new__(cls)
+        object.__setattr__(asm, "elements", _keyed(sigma))
         object.__setattr__(asm, "_bloch", _read_only(rows))
         return asm
-
-    def __getattr__(self, name: str):
-        """A producer's ``elements`` on first read: the read-only pauli_matrices of half its
-        Bloch rows, keyed by _KEYS, stored so that later reads find them."""
-        if name != "elements":
-            raise AttributeError(name)
-        elements = _keyed(_read_only(pauli_matrices(0.5 * self._bloch)))
-        object.__setattr__(self, "elements", elements)
-        return elements
 
     def outcome_probability(self, a: int, x: int) -> float:
         """p(a|x) = Tr sigma_{a|x}, the trace t of its Bloch row, for a in OUTCOMES and x in
@@ -241,7 +233,7 @@ def behavior_from_assemblage(asm: Assemblage, bob_dirs: Sequence[Direction]) -> 
     """p(ab|xy) = Tr[P_b^y sigma_{a|x}] for Bob's projective measurements: linalg.born on
     the assemblage's Bloch rows and Bob's projector_rows."""
     _require_two(bob_dirs, "Bob")
-    return adopt_behavior(born(asm._bloch, projector_rows(bob_dirs)))
+    return Behavior(born(asm._bloch, projector_rows(bob_dirs)))
 
 
 def mdlhv_decomposition_check(model: MdLhsModel, bob_dirs: Sequence[Direction]) -> float:

@@ -9,8 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import assemblage_stack, random_mdlhs_model
 
-from mdsteer import steering
-from mdsteer.behaviors import OUTCOMES, Behavior, behavior_from_quantum, correlators, pr_box
+from mdsteer.behaviors import OUTCOMES, Behavior, correlators, pr_box
 from mdsteer.inequality import local_bound, md_operator
 from mdsteer.kernel import TOL, Direction, ValidationError
 from mdsteer.linalg import (
@@ -668,35 +667,17 @@ def producer_assemblages(seed):
 
 
 class TestDerivedArraysBuiltOnce:
-    """Each derived array is computed once, by the object that owns it; a producer's complex
-    elements only when they are read."""
+    """Each derived array is computed once, by the object that owns it."""
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_producer_elements_are_built_on_first_read(self, seed):
+    def test_producer_elements_are_the_rows_matrices(self, seed):
         for asm in producer_assemblages(seed):
-            assert "elements" not in vars(asm)
-            asm.outcome_probability(-1, 2)
-            behavior_from_assemblage(asm, (Z, X))
-            assert "elements" not in vars(asm)
-            elements = asm.elements
-            assert vars(asm)["elements"] is elements
-            assert asm.elements is elements
-            assert list(elements) == list(_KEYS)
+            assert list(asm.elements) == list(_KEYS)
             expected = pauli_matrices(0.5 * asm._bloch).reshape(len(_KEYS), 2, 2)
             for k, m in zip(_KEYS, expected):
-                assert elements[k].tobytes() == m.tobytes()
+                assert asm.elements[k].tobytes() == m.tobytes()
                 with pytest.raises(ValueError, match="read-only"):
-                    elements[k][0, 0] = 7.0
-
-    def test_other_missing_attributes_still_raise(self):
-        asm = assemblage_from_state(bell_phi_plus(), (Z, X))
-        with pytest.raises(AttributeError):
-            asm.sigma
-        assert "elements" not in vars(asm)
-
-    def test_caller_built_assemblage_keeps_its_stack(self):
-        asm = Assemblage(assemblage_stack(assemblage_from_state(bell_phi_plus(), (Z, X))))
-        assert "elements" in vars(asm)
+                    asm.elements[k][0, 0] = 7.0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_outcome_probability_is_the_validated_trace(self, seed):
@@ -720,31 +701,3 @@ class TestDerivedArraysBuiltOnce:
             model._rows[0, 0] = 7.0
         assert assemblage_from_mdlhs(model)._bloch.tobytes() == expected.tobytes()
         assert "_rows" not in repr(model)
-
-    def test_producer_behaviors_hold_their_own_arrays(self):
-        state, alice, bob = pure_state(0.4), (Z, X), (X, Z)
-        asm = assemblage_from_state(state, alice)
-        for b in (behavior_from_assemblage(asm, bob), behavior_from_quantum(state, alice, bob)):
-            p = b.probabilities
-            assert p.flags.c_contiguous and not p.flags.writeable
-            assert b.entries == tuple(p.ravel().tolist())
-
-    def test_caller_built_behavior_copies_its_input(self):
-        asm = assemblage_from_state(pure_state(0.4), (Z, X))
-        p = np.array(behavior_from_assemblage(asm, (X, Z)).probabilities)
-        b = Behavior(p)
-        assert p.flags.writeable
-        assert not np.shares_memory(p, b.probabilities)
-        before = b.probabilities.copy()
-        p[...] = 0.0
-        np.testing.assert_array_equal(b.probabilities, before)
-
-    def test_producers_do_not_reach_behavior_by_name(self, monkeypatch):
-        # A traced benchmark run puts a plain-function wrapper in place of steering.Behavior.
-        model = random_mdlhs_model(11)
-        asm = assemblage_from_mdlhs(model)
-        expected = behavior_from_assemblage(asm, (Z, X)).probabilities
-        error = mdlhv_decomposition_check(model, (Z, X))
-        monkeypatch.setattr(steering, "Behavior", lambda *a, **k: Behavior(*a, **k))
-        assert np.array_equal(behavior_from_assemblage(asm, (Z, X)).probabilities, expected)
-        assert mdlhv_decomposition_check(model, (Z, X)) == error
