@@ -23,14 +23,12 @@ from . import table
 from .inequality import CorrelatorVector  # noqa: F401
 from .kernel import (  # noqa: F401
     OUTCOMES,
-    TOL,
     Direction,
     ValidationError,
     frozen_copy,
     require_distribution,
 )
 from .linalg import (  # noqa: F401
-    OUTCOME_SIGNS,
     TwoQubitState,
     bell_phi_plus,
     born,
@@ -40,8 +38,6 @@ from .linalg import (  # noqa: F401
     tensor,
 )
 from .table import NoSignallingReport, Table
-
-_AB_SIGNS = np.outer(OUTCOME_SIGNS, OUTCOME_SIGNS)  # a * b, indexed [a][b]
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,8 +89,7 @@ def correlators(b: Behavior) -> CorrelatorVector:
 
 def pr_box() -> Behavior:
     """The PR box: perfectly correlated except anti-correlated at x=y=2."""
-    target = np.array([[+1.0, +1.0], [+1.0, -1.0]])  # required a*b per (x, y)
-    return Behavior((1.0 + np.multiply.outer(target, _AB_SIGNS)) / 4.0)
+    return Behavior(np.reshape([0.5, 0.0, 0.0, 0.5] * 3 + [0.0, 0.5, 0.5, 0.0], table.SHAPE))
 
 
 def tilted_behavior(delta: float) -> Behavior:
@@ -107,7 +102,7 @@ def randomness_behavior(gamma: float) -> Behavior:
     return Behavior(np.reshape(table.randomness_table(gamma), table.SHAPE))
 
 
-def no_signalling_check(b: Behavior, tol: float = TOL.check) -> NoSignallingReport:
+def no_signalling_check(b: Behavior) -> NoSignallingReport:
     """Check that each party's marginals are independent of the other's setting."""
-    return table.no_signalling_check(b.entries, tol)
+    return table.no_signalling_check(b.entries)
 

@@ -39,8 +39,6 @@ from .kernel import (
     unnormalized,
 )
 
-OUTCOME_SIGNS = np.array(OUTCOMES, dtype=float)
-
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -97,34 +97,30 @@ def _check(psd: Sequence[bool], traces: Sequence[float]) -> None:
 class Assemblage:
     """Map (a, x) -> unnormalized 2x2 PSD matrix sigma_{a|x}.
 
-    Built from that map, or from a stack sigma[x][a] of shape (2, 2, 2, 2). Stored once, as
-    a read-only stack; ``elements`` holds views of it. Every element is also held as its
-    Bloch row (t, x, y, z), sigma = (t I + x sigma_x + y sigma_y + z sigma_z)/2, in the
-    read-only (4, 4) array ``_bloch`` in _KEYS order, which the Born rule, mixtures and
-    outcome probabilities read. Invariants: every element is PSD by linalg.bloch_psd and each
-    setting's traces sum to 1. Compared by identity.
+    Built from that map, a ``dict`` keyed by (a, x); any other type is refused by name.
+    Stored once, as a read-only stack; ``elements`` holds views of it. Every element is also
+    held as its Bloch row (t, x, y, z), sigma = (t I + x sigma_x + y sigma_y + z sigma_z)/2,
+    in the read-only (4, 4) array ``_bloch`` in _KEYS order, which the Born rule, mixtures
+    and outcome probabilities read. Invariants: every element is PSD by linalg.bloch_psd and
+    each setting's traces sum to 1. Compared by identity.
 
     The producers build an Assemblage from Bloch rows (``_from_bloch``): the rows are checked
     as rows and the stack is derived from them.
     """
 
-    elements: Dict[AssemblageKey, np.ndarray] | np.ndarray
+    elements: Dict[AssemblageKey, np.ndarray]
     _bloch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.elements, np.ndarray):
-            if self.elements.shape != (2, 2, 2, 2):
-                raise ValidationError(
-                    f"assemblage stack must have shape (2, 2, 2, 2), got {self.elements.shape}"
-                )
-            flat = frozen_copy(self.elements, complex).reshape(len(_KEYS), 2, 2)
-        else:
-            for a, x in _KEYS:
-                if (a, x) not in self.elements:
-                    raise ValidationError(f"missing assemblage element for (a={a}, x={x})")
-                if numeric_array(self.elements[(a, x)]).shape != (2, 2):
-                    raise ValidationError(f"element (a={a}, x={x}) must be 2x2")
-            flat = frozen_copy([self.elements[k] for k in _KEYS], complex)
+        if not isinstance(self.elements, dict):
+            kind = type(self.elements).__name__
+            raise ValidationError(f"assemblage elements must be a dict keyed by (a, x), got {kind}")
+        for a, x in _KEYS:
+            if (a, x) not in self.elements:
+                raise ValidationError(f"missing assemblage element for (a={a}, x={x})")
+            if numeric_array(self.elements[(a, x)]).shape != (2, 2):
+                raise ValidationError(f"element (a={a}, x={x}) must be 2x2")
+        flat = frozen_copy([self.elements[k] for k in _KEYS], complex)
         rows, psd = bloch_screen(flat)
         _check(psd, rows[:, 0].tolist())
         object.__setattr__(self, "elements", _keyed(flat))
@@ -242,6 +238,8 @@ def mdlhv_decomposition_check(model: MdLhsModel, bob_dirs: Sequence[Direction]) 
     Computes p(ab|xy) once by Bob's Born rule on the model's assemblage rows, as
     behavior_from_assemblage(assemblage_from_mdlhs(model)) does but validating neither, and
     once as sum_lambda p(lambda|x) p(a|x,lambda) Tr[P_b^y rho_{lambda|x}]; they agree by linearity.
+    Only the assemblage route includes born's clip at 0, so on states with eigenvalues down to
+    -TOL.psd the two differ by up to that slack, not only by rounding.
     """
     _require_two(bob_dirs, "Bob")
     bob = projector_rows(bob_dirs)

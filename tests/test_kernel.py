@@ -181,10 +181,6 @@ class TestPauliCoefficients:
         assert c.tobytes() == expected.tobytes()
         assert "_pauli" not in repr(state)
 
-    def test_pure_state_density_is_the_outer_product(self):
-        psi = np.array([math.cos(0.7), 0.0, 0.0, -math.sin(0.7)], dtype=complex)
-        assert pure_state(0.7).density.tobytes() == np.outer(psi, psi.conj()).tobytes()
-
 
 class TestTwoQubitState:
     def test_trace_validated(self):
