@@ -637,6 +637,52 @@ class TestCallerBuiltRows:
         assert model._bloch.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
+def quarter_dict():
+    return {(a, x): np.eye(2, dtype=complex) / 4 for a in OUTCOMES for x in SETTINGS}
+
+
+class TestAssemblageFromDict:
+    """Assemblage(dict) rebuilds a producer's matrices, and names a missing or misshapen
+    element before it judges any element's positivity."""
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_producer_elements_build_the_same(self, index):
+        produced = producer_assemblages(21)[index]
+        rebuilt = Assemblage(dict(produced.elements))
+        assert rebuilt.elements.keys() == produced.elements.keys()
+        assert assemblage_stack(rebuilt).tobytes() == assemblage_stack(produced).tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (2,), (4,), (2, 3), (3, 3), (1, 2, 2), (2, 2, 1)])
+    def test_element_of_wrong_shape_rejected(self, shape):
+        elements = quarter_dict()
+        elements[(-1, 2)] = np.zeros(shape, dtype=complex)
+        with pytest.raises(ValidationError, match=exactly("element (a=-1, x=2) must be 2x2")):
+            Assemblage(elements)
+
+    @pytest.mark.parametrize("a, x", _KEYS)
+    def test_missing_element_named(self, a, x):
+        elements = quarter_dict()
+        del elements[(a, x)]
+        message = f"missing assemblage element for (a={a}, x={x})"
+        with pytest.raises(ValidationError, match=exactly(message)):
+            Assemblage(elements)
+
+    @pytest.mark.parametrize(
+        "first, message",
+        [
+            (np.zeros(2, dtype=complex), "element (a=1, x=1) must be 2x2"),
+            (BAD_QUARTER["indefinite"], "missing assemblage element for (a=-1, x=2)"),
+        ],
+        ids=["shape-before-missing", "missing-before-psd"],
+    )
+    def test_first_fault_in_loop_order(self, first, message):
+        elements = quarter_dict()
+        elements[(1, 1)] = first
+        del elements[(-1, 2)]
+        with pytest.raises(ValidationError, match=exactly(message)):
+            Assemblage(elements)
+
+
 class TestOutcomeProbability:
     @pytest.mark.parametrize("a, x", [(0, 1), (1, 3), (-1, 0), (2, 2), (math.nan, 1), ("+", 1)])
     def test_unknown_key_is_a_validation_error(self, a, x):

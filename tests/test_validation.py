@@ -179,11 +179,16 @@ def quarter_elements():
 
 # Each builder gets an array whose one entry at [1, 0] (a below-diagonal entry) or [0, 0] is
 # value, and raises the message it raises for any other element that fails its check.
-def assemblage_from_dict(value, entry):
-    elements = quarter_elements()
-    elements[(-1, 2)] = elements[(-1, 2)].copy()
-    elements[(-1, 2)][entry] = value
-    return Assemblage(elements)
+def assemblage_with(key):
+    """A builder of the quarter assemblage whose element at key holds value."""
+
+    def build(value, entry):
+        elements = quarter_elements()
+        elements[key] = elements[key].copy()
+        elements[key][entry] = value
+        return Assemblage(elements)
+
+    return build
 
 
 def model_with_state(value, entry):
@@ -193,7 +198,9 @@ def model_with_state(value, entry):
 
 
 NON_FINITE_ARRAYS = {
-    "Assemblage(dict)": (assemblage_from_dict, "element (a=-1, x=2) is not PSD"),
+    "Assemblage(dict)": (assemblage_with((-1, 2)), "element (a=-1, x=2) is not PSD"),
+    # The first element's fault is named before its setting's traces, which sum to nan or inf.
+    "Assemblage(dict) first element": (assemblage_with((1, 1)), "element (a=1, x=1) is not PSD"),
     "MdLhsModel": (model_with_state, "states[1][0] is not a valid density matrix"),
 }
 
@@ -235,9 +242,11 @@ class TestHugeFiniteEntries:
         assert is_psd(np.eye(2) * 1e308) is True
         assert is_psd(np.array([[1.0, 1e308], [-1e308, 1.0]])) is False  # b - conj(c) is inf
 
-    def test_assemblage(self):
-        elements = {(a, x): np.eye(2) * 1e308 for x in (1, 2) for a in (+1, -1)}
-        with pytest.raises(ValidationError, match=r"^traces for x=1 sum to inf, expected 1$"):
+    @pytest.mark.parametrize("x", [1, 2])
+    def test_assemblage(self, x):
+        elements = quarter_elements()
+        elements.update({(a, x): np.eye(2) * 1e308 for a in (+1, -1)})
+        with pytest.raises(ValidationError, match=rf"^traces for x={x} sum to inf, expected 1$"):
             Assemblage(elements)
 
     def test_model(self):
@@ -267,6 +276,8 @@ ARRAY_TYPES = {
     "Behavior": lambda arr: Behavior(arr((2, 2, 2, 2))),
     "TwoQubitState": lambda arr: TwoQubitState(arr((4, 4))),
     "Assemblage(dict)": lambda arr: Assemblage({**quarter_elements(), (1, 1): arr((2, 2))}),
+    "Assemblage(dict) last element": lambda arr: Assemblage(
+        {**quarter_elements(), (-1, 2): arr((2, 2))}),
     "MdLhsModel p_lambda_given_x": lambda arr: MdLhsModel(
         arr((2, 2)), np.full((2, 2, 2), 0.5), MIXED),
     "MdLhsModel p_a_given_x_lambda": lambda arr: MdLhsModel(
